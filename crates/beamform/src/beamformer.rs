@@ -88,24 +88,49 @@ impl MvdrDesigner {
     /// [`BeamformError::SingularMatrix`] when the distortionless
     /// denominator vanishes.
     pub fn weights(&self, steering: &[Complex]) -> Result<Vec<Complex>, BeamformError> {
+        let mut w = vec![Complex::ZERO; self.rinv.rows()];
+        self.weights_into(steering, &mut w)?;
+        Ok(w)
+    }
+
+    /// [`MvdrDesigner::weights`] written into `out` (same arithmetic, no
+    /// allocation). Designing a whole imaging plane this way fills one
+    /// flat table with the m×K product `ρ⁻¹·[p_1 … p_K]`, each column
+    /// normalised by its own distortionless denominator.
+    ///
+    /// # Errors
+    ///
+    /// As [`MvdrDesigner::weights`]; a wrong-length `out` is also a
+    /// [`BeamformError::DimensionMismatch`]. On error `out` holds
+    /// unspecified values.
+    pub fn weights_into(
+        &self,
+        steering: &[Complex],
+        out: &mut [Complex],
+    ) -> Result<(), BeamformError> {
         let m = self.rinv.rows();
-        if steering.len() != m {
-            return Err(BeamformError::DimensionMismatch {
-                expected: m,
-                actual: steering.len(),
-            });
+        for len in [steering.len(), out.len()] {
+            if len != m {
+                return Err(BeamformError::DimensionMismatch {
+                    expected: m,
+                    actual: len,
+                });
+            }
         }
-        let rinv_a = self.rinv.matvec(steering);
+        self.rinv.matvec_into(steering, out);
         // Denominator p_sᴴ ρ⁻¹ p_s is real for Hermitian ρ.
         let denom: Complex = steering
             .iter()
-            .zip(rinv_a.iter())
+            .zip(out.iter())
             .map(|(a, ra)| a.conj() * *ra)
             .sum();
         if denom.abs() < 1e-300 {
             return Err(BeamformError::SingularMatrix);
         }
-        Ok(rinv_a.into_iter().map(|v| v / denom).collect())
+        for v in out.iter_mut() {
+            *v /= denom;
+        }
+        Ok(())
     }
 }
 

@@ -149,16 +149,28 @@ impl CMatrix {
     ///
     /// Panics if `x.len() != cols`.
     pub fn matvec(&self, x: &[Complex]) -> Vec<Complex> {
+        let mut out = vec![Complex::ZERO; self.rows];
+        self.matvec_into(x, &mut out);
+        out
+    }
+
+    /// [`CMatrix::matvec`] into a caller buffer (same arithmetic, no
+    /// allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols` or `out.len() != rows`.
+    pub fn matvec_into(&self, x: &[Complex], out: &mut [Complex]) {
         assert_eq!(x.len(), self.cols, "vector length mismatch");
-        (0..self.rows)
-            .map(|i| {
-                let mut acc = Complex::ZERO;
-                for (j, &xj) in x.iter().enumerate() {
-                    acc += self.get(i, j) * xj;
-                }
-                acc
-            })
-            .collect()
+        assert_eq!(out.len(), self.rows, "output length mismatch");
+        for (i, o) in out.iter_mut().enumerate() {
+            let row = &self.data[i * self.cols..(i + 1) * self.cols];
+            let mut acc = Complex::ZERO;
+            for (&a, &xj) in row.iter().zip(x) {
+                acc += a * xj;
+            }
+            *o = acc;
+        }
     }
 
     /// Adds `ε·I` to a square matrix in place (diagonal loading).

@@ -243,7 +243,7 @@ fn main() {
          16×16 grid, 3 beeps):"
     );
     println!(
-        "  {:<18} {:>6} {:>12} {:>12} {:>12}",
+        "  {:<22} {:>6} {:>12} {:>12} {:>12}",
         "stage", "count", "mean µs", "min µs", "max µs"
     );
     let stages: Vec<&echo_obs::HistogramSnapshot> = snap
@@ -253,7 +253,7 @@ fn main() {
         .collect();
     for h in &stages {
         println!(
-            "  {:<18} {:>6} {:>12.1} {:>12.1} {:>12.1}",
+            "  {:<22} {:>6} {:>12.1} {:>12.1} {:>12.1}",
             h.name,
             h.count,
             h.mean_ns().unwrap_or(0.0) / 1e3,
@@ -276,18 +276,22 @@ fn main() {
             echo_obs::escape_json(cache)
         ));
     }
-    // The distance stage is a gated regression metric
-    // (`stage.distance.mean_ns` in `cargo xtask bench-check`), so it
-    // also goes out as a nested object the gate's dotted-path lookup
-    // can resolve.
-    let distance_mean_ns = stages
-        .iter()
-        .find(|h| h.name == "stage.distance")
-        .and_then(|h| h.mean_ns())
-        .unwrap_or_else(|| {
-            eprintln!("WARNING: no stage.distance samples in the snapshot");
-            0.0
-        });
+    // The distance and imaging stages are gated regression metrics
+    // (`stage.distance.mean_ns` and `stage.imaging.mean_ns` in `cargo
+    // xtask bench-check`), so they also go out as nested objects the
+    // gate's dotted-path lookup can resolve.
+    let stage_mean_ns = |name: &str| {
+        stages
+            .iter()
+            .find(|h| h.name == name)
+            .and_then(|h| h.mean_ns())
+            .unwrap_or_else(|| {
+                eprintln!("WARNING: no {name} samples in the snapshot");
+                0.0
+            })
+    };
+    let distance_mean_ns = stage_mean_ns("stage.distance");
+    let imaging_mean_ns = stage_mean_ns("stage.imaging");
     let stage_json: Vec<String> = stages
         .iter()
         .map(|h| {
@@ -483,6 +487,7 @@ fn main() {
          \"packed_ns\": {mf_packed_ns:.0},\n    \"planned_ns\": {mf_planned_ns:.0},\n    \
          \"speedup_vs_unplanned\": {:.2}\n  }},\n  \
          \"stage\": {{\n    \"distance\": {{\"mean_ns\": {distance_mean_ns:.0}}},\n    \
+         \"imaging\": {{\"mean_ns\": {imaging_mean_ns:.0}}},\n    \
          \"spatial\": {{\"mean_ns\": {spatial_mean_ns:.0}}}\n  }},\n  \
          \"serve\": {{\n    \"p99_ns\": {serve_p99_ns}\n  }},\n  \
          \"stats\": {{\n    \"render_ns\": {stats_render_ns:.0}\n  }},\n  \

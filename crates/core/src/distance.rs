@@ -66,15 +66,41 @@ pub fn estimate_distance(
     array: &MicArray,
     config: &PipelineConfig,
 ) -> Result<DistanceEstimate, EchoImageError> {
-    estimate_distance_traced(captures, array, config, TraceCtx::none())
+    let analytic: Vec<Vec<Vec<Complex>>> = captures.iter().map(analytic_channels).collect();
+    estimate_from_analytic(captures, &analytic, array, config, TraceCtx::none())
 }
 
-/// [`estimate_distance`] recording a `stage.distance` trace span under
-/// `ctx` (template-cache hit flag, estimated horizontal distance). The
-/// estimator runs on the serial coordinating path, so the cache-hit
-/// attribute is deterministic for a fixed workload and cache state.
-pub fn estimate_distance_traced(
+/// The per-channel analytic signals of one band-passed capture: the
+/// radix-2 padded transform ([`analytic_signal_padded_with`]), which
+/// ranging and imaging both read. A pipeline run computes it once per
+/// beep and hands the same buffers to [`estimate_from_analytic`] and to
+/// every imaging plane; the standalone entry points compute the same
+/// buffers themselves, so both routes are bit-identical.
+///
+/// Captures are rarely a power-of-two length, and the exact transform
+/// of such a length runs Bluestein, ~5× the work of a direct radix-2
+/// pair. The padded signal tracks the exact one closely away from the
+/// capture's ends, and neither the envelope peaks nor the echo gates
+/// are read there.
+pub(crate) fn analytic_channels(capture: &BeepCapture) -> Vec<Vec<Complex>> {
+    let _span = echo_obs::span!("stage.analytic");
+    let mut scratch = FftScratch::new();
+    capture
+        .channels()
+        .iter()
+        .map(|ch| analytic_signal_padded_with(ch, &mut scratch))
+        .collect()
+}
+
+/// [`estimate_distance`] over analytic signals already computed by
+/// [`analytic_channels`] (`analytic[l]` belongs to `captures[l]`),
+/// recording a `stage.distance` trace span under `ctx` (template-cache
+/// hit flag, estimated horizontal distance). The estimator runs on the
+/// serial coordinating path, so the cache-hit attribute is
+/// deterministic for a fixed workload and cache state.
+pub(crate) fn estimate_from_analytic(
     captures: &[BeepCapture],
+    analytic: &[Vec<Vec<Complex>>],
     array: &MicArray,
     config: &PipelineConfig,
     ctx: TraceCtx,
@@ -97,6 +123,7 @@ pub fn estimate_distance_traced(
     if n == 0 {
         return Err(EchoImageError::InvalidParameter("captures hold no samples"));
     }
+    debug_assert_eq!(analytic.len(), captures.len());
     let _span = echo_obs::span!("stage.distance");
     let mut tspan = ctx.child("stage.distance");
     tspan.attr_u64("beeps", captures.len() as u64);
@@ -122,20 +149,13 @@ pub fn estimate_distance_traced(
     let cov = resolve_covariance(captures, array, config);
     let weights = mvdr_weights(&cov, &steering)?;
 
-    // Accumulate E(t) = (1/L) Σ |E_l(t)|² (Eq. 10).
+    // Accumulate E(t) = (1/L) Σ |E_l(t)|² (Eq. 10). The envelope is read
+    // well inside the capture, where the padded analytic signal tracks
+    // the exact one to the accumulation noise floor.
     let mut accumulated = vec![0.0f64; n];
-    let mut hilbert_scratch = FftScratch::new();
     let mut corr_scratch = CorrelationScratch::new();
-    // The padded analytic signal keeps every per-channel transform on
-    // the radix-2 path (captures are rarely power-of-two length, and
-    // Bluestein costs ~5× a direct pair). The envelope is read well
-    // inside the capture, where the padded and exact transforms agree
-    // to the accumulation noise floor.
-    for capture in captures {
-        let analytic: Vec<Vec<Complex>> = (0..m)
-            .map(|ch| analytic_signal_padded_with(capture.channel(ch), &mut hilbert_scratch))
-            .collect();
-        let beamformed = apply_weights(&analytic, &weights);
+    for channels in analytic {
+        let beamformed = apply_weights(channels, &weights);
         // |C_l(t)| of the analytic correlation *is* the envelope E_l(t).
         let correlation = chirp_plan.matched_filter_complex_with(&beamformed, &mut corr_scratch);
         echo_dsp::simd::accum_norm_sqr(&mut accumulated, &correlation);

@@ -7,18 +7,35 @@
 //! delay `2·D_k/c ± d′` (only echoes whose path length matches the cell's
 //! distance can come from the user's surface there), and the pixel value
 //! is the L2 norm of the gated segment.
+//!
+//! The sweep runs as a narrowband beamformer usually does: fixed weights
+//! times precomputed signal frames.
+//!
+//! * **Signal.** A beep's per-channel analytic signal is the radix-2
+//!   padded transform that ranging reads too
+//!   ([`crate::distance::estimate_distance`]). The pipeline computes it
+//!   once per beep and shares it between ranging and every plane it
+//!   images.
+//! * **Weights.** The MVDR (or delay-and-sum) weights depend only on the
+//!   sweep geometry and the train's noise covariance, so they are
+//!   designed once per (train, plane) into one flat table, cells in
+//!   steering-field order.
+//! * **Pixels.** Each pixel is one [`echo_dsp::simd::gated_beam_energy`]
+//!   call over the cell's gate. It forms only the real beamformed
+//!   sample, bit-identical to the real part of the complex
+//!   multiply–accumulate `Σ_m conj(w_m)·x_m[t]`.
 
 use crate::config::{BeamformerKind, PipelineConfig};
 use crate::error::EchoImageError;
 use crate::par::parallel_map_indexed;
-use crate::steering_cache::steering_field;
+use crate::steering_cache::{steering_field, SteeringField};
 use echo_array::MicArray;
 use echo_beamform::{das_weights, MvdrDesigner, SpatialCovariance};
-use echo_dsp::hilbert::analytic_signal;
 use echo_dsp::{Complex, SPEED_OF_SOUND};
 use echo_ml::GrayImage;
 use echo_obs::TraceCtx;
 use echo_sim::BeepCapture;
+use std::sync::Arc;
 
 /// Constructs the acoustic image `AI_l` from one band-passed beep capture.
 ///
@@ -61,6 +78,10 @@ pub fn construct_image(
 /// covariance has been pooled over a whole beep train, which keeps the
 /// MVDR weights (and therefore the image) stable from beep to beep.
 ///
+/// Computes the beep's analytic signal and the plane's weights itself,
+/// exactly as the pipeline does once per beep and once per plane, so the
+/// image is bit-identical to the pipeline's image of the same beep.
+///
 /// # Errors
 ///
 /// See [`construct_image`].
@@ -71,44 +92,7 @@ pub fn construct_image_with_covariance(
     cov: &SpatialCovariance,
     config: &PipelineConfig,
 ) -> Result<GrayImage, EchoImageError> {
-    construct_image_with_covariance_traced(
-        capture,
-        array,
-        horizontal_distance,
-        cov,
-        config,
-        TraceCtx::none(),
-        0,
-    )
-}
-
-/// [`construct_image_with_covariance`] recording a `stage.imaging`
-/// trace span as child `lidx` of `ctx` (grid size and channel count as
-/// attributes; `lidx` is the beep index within its train).
-///
-/// Deliberately *no* steering-cache hit/miss attribute: beeps of a
-/// train image in parallel and coalesce on one shared cache slot, so
-/// *which* beep classifies as the miss is scheduler-dependent even
-/// though the aggregate counters are not. Attributing it per-span would
-/// break the thread-count determinism contract (see DESIGN.md §9).
-///
-/// # Errors
-///
-/// See [`construct_image`].
-pub fn construct_image_with_covariance_traced(
-    capture: &BeepCapture,
-    array: &MicArray,
-    horizontal_distance: f64,
-    cov: &SpatialCovariance,
-    config: &PipelineConfig,
-    ctx: TraceCtx,
-    lidx: u64,
-) -> Result<GrayImage, EchoImageError> {
-    if !(horizontal_distance.is_finite() && horizontal_distance > 0.0) {
-        return Err(EchoImageError::InvalidParameter(
-            "horizontal distance must be positive",
-        ));
-    }
+    check_distance(horizontal_distance)?;
     if capture.num_channels() != array.len() {
         return Err(EchoImageError::InvalidParameter(
             "array geometry does not match the capture channel count",
@@ -119,139 +103,149 @@ pub fn construct_image_with_covariance_traced(
         // fault layer produces exactly these, so fail loudly instead.
         return Err(EchoImageError::InvalidParameter("capture holds no samples"));
     }
+    let analytic = crate::distance::analytic_channels(capture);
+    let plane = PlaneWeights::design(array, horizontal_distance, cov, config, TraceCtx::none(), 0)?;
+    Ok(image_beep(
+        capture,
+        &analytic,
+        &plane,
+        config,
+        config.threads,
+        TraceCtx::none(),
+        0,
+    ))
+}
+
+fn check_distance(horizontal_distance: f64) -> Result<(), EchoImageError> {
+    if horizontal_distance.is_finite() && horizontal_distance > 0.0 {
+        Ok(())
+    } else {
+        Err(EchoImageError::InvalidParameter(
+            "horizontal distance must be positive",
+        ))
+    }
+}
+
+/// The beamformer weights of every cell of one imaging plane, designed
+/// once per (train, plane) and read by every beep imaged on it.
+#[derive(Debug, Clone)]
+pub(crate) struct PlaneWeights {
+    /// The plane's steering field (its cell distances drive the gates).
+    field: Arc<SteeringField>,
+    /// Weights per cell (the array's microphone count).
+    channels: usize,
+    /// `channels` weights per cell, cells in steering-field order.
+    table: Vec<Complex>,
+}
+
+impl PlaneWeights {
+    /// Designs the weights of the plane at `horizontal_distance` against
+    /// `cov`, recording a `stage.imaging.weights` span as child `lidx` of
+    /// `ctx` (`lidx` is the plane's index within its train).
+    ///
+    /// MVDR inverts the covariance once, then each cell is one
+    /// matrix–vector product written straight into the table: the m×K
+    /// product over the plane, bit-identical to per-cell `mvdr_weights`.
+    ///
+    /// Deliberately *no* steering-cache hit/miss attribute on the span:
+    /// concurrent trains can coalesce on one shared cache slot, so
+    /// *which* lookup classifies as the miss is scheduler-dependent even
+    /// though the aggregate counters are not (see DESIGN.md §9).
+    pub(crate) fn design(
+        array: &MicArray,
+        horizontal_distance: f64,
+        cov: &SpatialCovariance,
+        config: &PipelineConfig,
+        ctx: TraceCtx,
+        lidx: u64,
+    ) -> Result<Self, EchoImageError> {
+        check_distance(horizontal_distance)?;
+        let _span = echo_obs::span!("stage.imaging.weights");
+        let mut tspan = ctx.child_at("stage.imaging.weights", lidx);
+        let icfg = &config.imaging;
+        tspan.attr_u64("grid_n", icfg.grid_n as u64);
+        // The steering vectors and cell distances depend only on the
+        // sweep geometry: fetch the shared field (computed once per
+        // geometry, process-wide).
+        let field = steering_field(
+            array,
+            icfg,
+            horizontal_distance,
+            config.beep.center_frequency(),
+        );
+        let channels = array.len();
+        let mut table = vec![Complex::ZERO; field.cells().len() * channels];
+        let cells = field.cells().iter().zip(table.chunks_exact_mut(channels));
+        match icfg.beamformer {
+            BeamformerKind::Mvdr => {
+                let designer = MvdrDesigner::new(cov)?;
+                for (cell, w) in cells {
+                    designer.weights_into(&cell.steering, w)?;
+                }
+            }
+            BeamformerKind::DelayAndSum => {
+                for (cell, w) in cells {
+                    w.copy_from_slice(&das_weights(&cell.steering));
+                }
+            }
+        }
+        Ok(PlaneWeights {
+            field,
+            channels,
+            table,
+        })
+    }
+}
+
+/// Images one beep on one plane from its analytic signals (one per
+/// channel, as [`crate::distance::estimate_distance`] computes them),
+/// recording a `stage.imaging` span as child `lidx` of `ctx`. Rows are
+/// swept on `threads` workers and reassembled by index, so every thread
+/// count yields the same image.
+pub(crate) fn image_beep(
+    capture: &BeepCapture,
+    analytic: &[Vec<Complex>],
+    plane: &PlaneWeights,
+    config: &PipelineConfig,
+    threads: usize,
+    ctx: TraceCtx,
+    lidx: u64,
+) -> GrayImage {
     let _span = echo_obs::span!("stage.imaging");
     let mut tspan = ctx.child_at("stage.imaging", lidx);
-    tspan.attr_u64("grid_n", config.imaging.grid_n as u64);
-    tspan.attr_u64("channels", array.len() as u64);
+    let grid_n = plane.field.grid_n();
+    tspan.attr_u64("grid_n", grid_n as u64);
+    tspan.attr_u64("channels", plane.channels as u64);
     echo_obs::counter!("pipeline.images_constructed").inc();
+    debug_assert_eq!(analytic.len(), plane.channels);
 
     let icfg = &config.imaging;
     let fs = capture.sample_rate();
-    let f0 = config.beep.center_frequency();
     let n = capture.len();
-    let m = array.len();
-
-    // Analytic signals once per capture; reused for every grid cell.
-    let analytic: Vec<Vec<Complex>> = (0..m)
-        .map(|ch| analytic_signal(capture.channel(ch)))
-        .collect();
-
     let guard = (icfg.safeguard * fs).round() as usize;
     let chirp_len = config.beep.chirp_samples();
     let preroll = capture.preroll();
-
-    // The steering vectors and cell distances depend only on the sweep
-    // geometry, not on this capture: fetch the shared field (computed
-    // once per geometry, process-wide).
-    let field = steering_field(array, icfg, horizontal_distance, f0);
-    // MVDR inverts one covariance for the whole sweep; precompute it.
-    // The designer feeds the identical inverse through the identical
-    // arithmetic, so pixels match the per-cell `mvdr_weights` exactly.
-    let designer = match icfg.beamformer {
-        BeamformerKind::Mvdr => Some(MvdrDesigner::new(cov)?),
-        BeamformerKind::DelayAndSum => None,
-    };
-
-    // Rows are independent; sweep them on the work pool. Reassembly is
-    // by row index, so every thread count yields the same image.
-    let rows: Vec<usize> = (0..icfg.grid_n).collect();
-    let row_pixels = parallel_map_indexed(&rows, config.threads, |_, &row| {
-        let mut pixels = vec![0.0f64; icfg.grid_n];
-        for (col, px) in pixels.iter_mut().enumerate() {
-            let cell = field.cell(col, row);
-            let weights = match &designer {
-                Some(d) => d.weights(&cell.steering)?,
-                None => das_weights(&cell.steering),
-            };
-
-            // Time gate: echoes from this cell arrive after the round
-            // trip 2·D_k/c (paper approximation: speaker ≈ array origin).
-            let center = preroll as f64 + 2.0 * cell.distance / SPEED_OF_SOUND * fs;
-            let start = (center as isize - guard as isize).max(0) as usize;
-            let end = ((center as usize).saturating_add(guard + chirp_len)).min(n);
-            if start >= end {
-                continue;
-            }
-
-            // Beamform only the gated segment: y[n] = Σ_m w_m* x_m[n].
-            let mut energy = 0.0;
-            for t in start..end {
-                let mut acc = Complex::ZERO;
-                for (ch, &w) in analytic.iter().zip(weights.iter()) {
-                    acc += w.conj() * ch[t];
-                }
+    let rows: Vec<usize> = (0..grid_n).collect();
+    let row_pixels = parallel_map_indexed(&rows, threads, |_, &row| {
+        let k0 = row * grid_n;
+        let cells = &plane.field.cells()[k0..k0 + grid_n];
+        let weights = plane.table[k0 * plane.channels..].chunks_exact(plane.channels);
+        cells
+            .iter()
+            .zip(weights)
+            .map(|(cell, w)| {
+                // Time gate: echoes from this cell arrive after the round
+                // trip 2·D_k/c (paper approximation: speaker ≈ array
+                // origin). An empty gate images to 0.
+                let center = preroll as f64 + 2.0 * cell.distance / SPEED_OF_SOUND * fs;
+                let start = (center as isize - guard as isize).max(0) as usize;
+                let end = ((center as usize).saturating_add(guard + chirp_len)).min(n);
                 // Pixel uses the real beamformed signal, as in the paper.
-                energy += acc.re * acc.re;
-            }
-            *px = energy.sqrt();
-        }
-        Ok::<Vec<f64>, EchoImageError>(pixels)
+                echo_dsp::simd::gated_beam_energy(analytic, w, start, end).sqrt()
+            })
+            .collect::<Vec<f64>>()
     });
-
-    let mut image = GrayImage::zeros(icfg.grid_n, icfg.grid_n);
-    for (row, pixels) in row_pixels.into_iter().enumerate() {
-        for (col, px) in pixels?.into_iter().enumerate() {
-            image.set(col, row, px);
-        }
-    }
-    Ok(image)
-}
-
-/// [`construct_image`] restricted to a microphone subset: the capture's
-/// channels and the array's elements are both narrowed to `healthy`
-/// (ascending original indices, at least two) before imaging, so a
-/// capture with faulted channels images from its surviving microphones
-/// instead of letting a dead or saturated element poison the sweep.
-/// With a full mask this is exactly [`construct_image`].
-///
-/// # Errors
-///
-/// [`EchoImageError::InvalidParameter`] for a malformed mask (empty,
-/// unsorted, out of range, or fewer than two survivors), plus every
-/// [`construct_image`] error.
-pub fn construct_image_masked(
-    capture: &BeepCapture,
-    array: &MicArray,
-    healthy: &[usize],
-    horizontal_distance: f64,
-    config: &PipelineConfig,
-) -> Result<GrayImage, EchoImageError> {
-    validate_mask(capture, array, healthy)?;
-    if healthy.len() == array.len() {
-        return construct_image(capture, array, horizontal_distance, config);
-    }
-    let sub_capture = capture.select_channels(healthy);
-    let sub_array = array.subset(healthy);
-    construct_image(&sub_capture, &sub_array, horizontal_distance, config)
-}
-
-/// Checks a mic-subset mask against a capture/array pair.
-pub(crate) fn validate_mask(
-    capture: &BeepCapture,
-    array: &MicArray,
-    healthy: &[usize],
-) -> Result<(), EchoImageError> {
-    if capture.num_channels() != array.len() {
-        return Err(EchoImageError::InvalidParameter(
-            "array geometry does not match the capture channel count",
-        ));
-    }
-    if healthy.len() < 2 {
-        return Err(EchoImageError::InvalidParameter(
-            "a mic-subset mask needs at least two microphones",
-        ));
-    }
-    if !healthy.windows(2).all(|w| w[0] < w[1]) {
-        return Err(EchoImageError::InvalidParameter(
-            "mic-subset mask must be strictly increasing",
-        ));
-    }
-    if healthy.iter().any(|&m| m >= array.len()) {
-        return Err(EchoImageError::InvalidParameter(
-            "mic-subset mask names a microphone outside the array",
-        ));
-    }
-    Ok(())
+    GrayImage::from_data(grid_n, grid_n, row_pixels.concat())
 }
 
 /// The cell-to-origin distance `D_k = √(x_k² + D_p² + z_k²)` used both by

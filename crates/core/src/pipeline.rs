@@ -6,11 +6,11 @@
 //! that run a whole beep train through to feature vectors.
 
 pub use crate::config::PipelineConfig;
-use crate::distance::{estimate_distance, estimate_distance_traced, DistanceEstimate};
+use crate::distance::{estimate_distance, DistanceEstimate};
 use crate::error::EchoImageError;
 use crate::features::ImageFeatures;
 use crate::health::ChannelHealth;
-use crate::imaging::construct_image;
+use crate::imaging::{construct_image, image_beep, PlaneWeights};
 use crate::par::parallel_map_indexed;
 use echo_array::MicArray;
 use echo_dsp::filter::SosFilter;
@@ -140,42 +140,14 @@ impl EchoImagePipeline {
     /// [`EchoImagePipeline::images_from_train`] recording its stage
     /// spans as children of `ctx` instead of minting a fresh trace —
     /// the variant callers inside a traced attempt (auth, eval batches)
-    /// use. Per-beep preprocess and imaging spans carry the beep index
-    /// as their logical index.
+    /// use. Per-beep preprocess, analytic and imaging spans carry the
+    /// beep index as their logical index.
     pub fn images_from_train_traced(
         &self,
         ctx: TraceCtx,
         captures: &[BeepCapture],
     ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
-        echo_obs::counter!("pipeline.trains").inc();
-        echo_obs::counter!("pipeline.beeps_imaged").add(captures.len() as u64);
-        let filtered: Vec<BeepCapture> =
-            parallel_map_indexed(captures, self.config.threads, |i, c| {
-                let _t = ctx.child_at("stage.preprocess", i as u64);
-                self.preprocess(c)
-            });
-        let estimate = estimate_distance_traced(&filtered, &self.array, &self.config, ctx)?;
-        // One covariance for the whole train keeps the MVDR weights
-        // identical across beeps, so image variation reflects the user,
-        // not the covariance estimator.
-        let cov = crate::distance::resolve_covariance(&filtered, &self.array, &self.config);
-        // Fan out over beeps, which each image serially — one layer of
-        // parallelism, not threads² workers.
-        let inner = self.config.clone().with_threads(1);
-        let images = parallel_map_indexed(&filtered, self.config.threads, |i, c| {
-            crate::imaging::construct_image_with_covariance_traced(
-                c,
-                &self.array,
-                estimate.horizontal_distance,
-                &cov,
-                &inner,
-                ctx,
-                i as u64,
-            )
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        Ok((images, estimate))
+        self.images_from_train_multi_plane_traced(ctx, captures, &[])
     }
 
     /// Like [`EchoImagePipeline::images_from_train`], but additionally
@@ -201,8 +173,14 @@ impl EchoImagePipeline {
     }
 
     /// [`EchoImagePipeline::images_from_train_multi_plane`] under an
-    /// existing trace context. Imaging spans use the flattened
+    /// existing trace context. Weight-design spans use the plane index
+    /// (0 = the estimated plane) and imaging spans the flattened
     /// capture×plane job index as their logical index.
+    ///
+    /// Each beep is band-passed and transformed to its per-channel
+    /// analytic signal once; ranging and every plane's imaging read those
+    /// same buffers. Each plane's weights are designed once and shared by
+    /// every beep. Both are dropped when the call returns.
     pub fn images_from_train_multi_plane_traced(
         &self,
         ctx: TraceCtx,
@@ -211,12 +189,28 @@ impl EchoImagePipeline {
     ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
         echo_obs::counter!("pipeline.trains").inc();
         echo_obs::counter!("pipeline.beeps_imaged").add(captures.len() as u64);
-        let filtered: Vec<BeepCapture> =
+        let (filtered, analytic): (Vec<BeepCapture>, Vec<_>) =
             parallel_map_indexed(captures, self.config.threads, |i, c| {
-                let _t = ctx.child_at("stage.preprocess", i as u64);
-                self.preprocess(c)
-            });
-        let estimate = estimate_distance_traced(&filtered, &self.array, &self.config, ctx)?;
+                let filtered = {
+                    let _t = ctx.child_at("stage.preprocess", i as u64);
+                    self.preprocess(c)
+                };
+                let _t = ctx.child_at("stage.analytic", i as u64);
+                let analytic = crate::distance::analytic_channels(&filtered);
+                (filtered, analytic)
+            })
+            .into_iter()
+            .unzip();
+        let estimate = crate::distance::estimate_from_analytic(
+            &filtered,
+            &analytic,
+            &self.array,
+            &self.config,
+            ctx,
+        )?;
+        // One covariance for the whole train keeps the MVDR weights
+        // identical across beeps, so image variation reflects the user,
+        // not the covariance estimator.
         let cov = crate::distance::resolve_covariance(&filtered, &self.array, &self.config);
         let mut planes = vec![estimate.horizontal_distance];
         planes.extend(
@@ -224,26 +218,30 @@ impl EchoImagePipeline {
                 .iter()
                 .map(|o| (estimate.horizontal_distance + o).max(0.2)),
         );
+        let weights = planes
+            .iter()
+            .enumerate()
+            .map(|(p, &d)| PlaneWeights::design(&self.array, d, &cov, &self.config, ctx, p as u64))
+            .collect::<Result<Vec<_>, _>>()?;
         // Flatten the capture × plane grid into one job list so the
         // pool sees every unit of work at once; output order matches
-        // the serial nested loop (capture-major).
-        let jobs: Vec<(usize, f64)> = (0..filtered.len())
-            .flat_map(|ci| planes.iter().map(move |&d| (ci, d)))
+        // the serial nested loop (capture-major). Each job sweeps its
+        // rows serially — one layer of parallelism, not threads²
+        // workers.
+        let jobs: Vec<(usize, usize)> = (0..filtered.len())
+            .flat_map(|ci| (0..planes.len()).map(move |pi| (ci, pi)))
             .collect();
-        let inner = self.config.clone().with_threads(1);
-        let images = parallel_map_indexed(&jobs, self.config.threads, |i, &(ci, d)| {
-            crate::imaging::construct_image_with_covariance_traced(
+        let images = parallel_map_indexed(&jobs, self.config.threads, |i, &(ci, pi)| {
+            image_beep(
                 &filtered[ci],
-                &self.array,
-                d,
-                &cov,
-                &inner,
+                &analytic[ci],
+                &weights[pi],
+                &self.config,
+                1,
                 ctx,
                 i as u64,
             )
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        });
         Ok((images, estimate))
     }
 

@@ -53,6 +53,12 @@ impl SteeringField {
     pub fn grid_n(&self) -> usize {
         self.grid_n
     }
+
+    /// Every cell, row-major (cell `(col, row)` at `row·grid_n + col`),
+    /// the order an image's pixels are stored in.
+    pub fn cells(&self) -> &[SteeringCell] {
+        &self.cells
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -127,18 +127,25 @@ fn steering_cache_counts_exactly_cold_then_warm() {
     let pipeline = EchoImagePipeline::new(config(pool_threads()));
     echo_obs::reset();
 
-    // Cold: one geometry for the whole train → 1 miss, beeps−1 hits.
+    // The field is looked up once per (train, plane), when the plane's
+    // weights are designed, not once per beep.
+    // Cold: one geometry for the whole train → 1 miss, no hits.
     pipeline.features_from_train(&caps).unwrap();
     let cold = deterministic_metrics();
     assert_eq!(cold.get("steering_cache.miss"), Some(&1), "{cold:?}");
-    assert_eq!(cold.get("steering_cache.hit"), Some(&2), "{cold:?}");
+    assert_eq!(cold.get("steering_cache.hit"), None, "{cold:?}");
+    assert_eq!(
+        cold.get("stage.imaging.weights#count"),
+        Some(&1),
+        "{cold:?}"
+    );
 
-    // Warm: same geometry again → no new misses, beeps hits.
+    // Warm: same geometry again → no new misses, 1 hit.
     echo_obs::reset();
     pipeline.features_from_train(&caps).unwrap();
     let warm = deterministic_metrics();
     assert_eq!(warm.get("steering_cache.miss"), None, "{warm:?}");
-    assert_eq!(warm.get("steering_cache.hit"), Some(&3), "{warm:?}");
+    assert_eq!(warm.get("steering_cache.hit"), Some(&1), "{warm:?}");
 }
 
 #[test]

@@ -36,11 +36,11 @@ pub fn analytic_signal(signal: &[f64]) -> Vec<Complex> {
 
 /// [`analytic_signal`] reusing caller scratch across calls.
 ///
-/// Callers transforming many same-length channels (beamforming fans the
-/// Hilbert transform across every steering direction) avoid
-/// re-allocating the Bluestein convolution buffer. Output is identical
-/// to [`analytic_signal`]; the transforms go through the process-wide
-/// plan cache either way.
+/// Callers transforming many same-length channels avoid re-allocating
+/// the Bluestein convolution buffer. Output is identical to
+/// [`analytic_signal`]; the transforms go through the process-wide plan
+/// cache either way. The pipeline's per-beep transforms use
+/// [`analytic_signal_padded_with`] instead, which never runs Bluestein.
 pub fn analytic_signal_with(signal: &[f64], scratch: &mut FftScratch) -> Vec<Complex> {
     let n = signal.len();
     if n == 0 {
@@ -71,8 +71,10 @@ pub fn analytic_signal_with(signal: &[f64], scratch: &mut FftScratch) -> Vec<Com
 /// from the last few samples this tracks the unpadded transform
 /// closely, while skipping Bluestein's two extra double-length
 /// convolution transforms (~5× the work of a direct radix-2 pair).
-/// The distance estimator accumulates squared envelopes over many beeps
-/// and reads peaks well inside the capture, so it uses this variant.
+/// Ranging and acoustic imaging both read a beep's signal well inside
+/// the capture (envelope peaks, echo gates a few hundred samples past
+/// the preroll), so the pipeline computes this variant once per beep
+/// channel and both stages share it.
 pub fn analytic_signal_padded_with(signal: &[f64], scratch: &mut FftScratch) -> Vec<Complex> {
     let n = signal.len();
     if n == 0 {

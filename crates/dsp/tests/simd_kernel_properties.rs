@@ -23,8 +23,9 @@
 use echo_dsp::peaks::{find_peaks, Peak};
 use echo_dsp::simd::{
     self, accum_norm_sqr_with, axpy2_with, axpy_with, butterfly_pass_with, cmul_conj_in_place_with,
-    cmul_in_place_with, cmul_into_with, cmul_scale_into_with, gemm_tile2_with, gemm_tile_with,
-    max_f64_with, scale_in_place_with, sqdist_f32_with, sqdist_f64_with, SimdPath,
+    cmul_in_place_with, cmul_into_with, cmul_scale_into_with, gated_beam_energy_with,
+    gemm_tile2_with, gemm_tile_with, max_f64_with, scale_in_place_with, sqdist_f32_with,
+    sqdist_f64_with, SimdPath,
 };
 use echo_dsp::Complex;
 use proptest::prelude::*;
@@ -41,6 +42,9 @@ const ULP_MAX: u64 = 0;
 // both paths implement identically, so the bound stays 0 ULP even
 // though the reduction is horizontal.
 const ULP_SQDIST: u64 = 0;
+// `gated_beam_energy` vectorises across samples only: each sample's
+// channel sum and the energy sum keep the scalar order.
+const ULP_BEAM_ENERGY: u64 = 0;
 
 /// Distance in units-in-the-last-place between two finite doubles,
 /// treating `+0.0` and `−0.0` as equal. Any NaN or sign disagreement is
@@ -281,6 +285,31 @@ proptest! {
             s32.to_bits(), v32.to_bits(),
             "sqdist_f32: {:e} vs {:e}", s32, v32
         );
+    }
+
+    // Gates of 0–300 samples (ragged 4-sample tails included) over 1–8
+    // channels, placed at the start, the end or the middle of the
+    // signal, which is `pad` samples longer than the gate.
+    fn gated_beam_energy_paths_agree(
+        gate in 0usize..301,
+        m in 1usize..9,
+        pad in 0usize..9,
+        place in 0u8..3,
+        seed in 0u64..10_000,
+    ) {
+        let n = gate + pad;
+        let channels: Vec<Vec<Complex>> =
+            (0..m).map(|c| cvec(n, seed ^ (0x1F1F * (c as u64 + 1)))).collect();
+        let weights = cvec(m, seed ^ 0x6B6B);
+        let start = match place {
+            0 => 0,
+            1 => pad,
+            _ => pad / 2,
+        };
+        let end = start + gate;
+        let s = gated_beam_energy_with(SimdPath::Scalar, &channels, &weights, start, end);
+        let v = gated_beam_energy_with(simd_path(), &channels, &weights, start, end);
+        assert_ulp(s, v, ULP_BEAM_ENERGY, "gated_beam_energy")?;
     }
 
     fn max_paths_agree(n in 0usize..101, seed in 0u64..10_000) {

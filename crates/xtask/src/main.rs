@@ -70,12 +70,13 @@ tasks:
 /// The kernel latencies the regression gate holds. Deliberately the
 /// low-variance single-kernel timings — end-to-end stage timings and
 /// the naive-reference baselines wander too much on shared runners.
-const GATED_METRICS: [&str; 9] = [
+const GATED_METRICS: [&str; 10] = [
     "single_image.gemm_ns",
     "single_image.gemm_scratch_ns",
     "matched_filter.packed_ns",
     "matched_filter.planned_ns",
     "stage.distance.mean_ns",
+    "stage.imaging.mean_ns",
     "stage.spatial.mean_ns",
     "serve.p99_ns",
     "store.lookup_p99_ns",
@@ -92,9 +93,10 @@ type Step = (
 /// The `(package, suite)` pairs that must hold bit-for-bit across
 /// worker-thread counts and SIMD dispatch modes, mirrored by the CI
 /// determinism matrix.
-const DETERMINISM_SUITES: [(&str, &str); 7] = [
+const DETERMINISM_SUITES: [(&str, &str); 8] = [
     ("echoimage-core", "fault_injection"),
     ("echoimage-core", "feature_determinism"),
+    ("echoimage-core", "imaging_parity"),
     ("echoimage-core", "metrics_determinism"),
     ("echoimage-core", "simd_dispatch"),
     ("echoimage-core", "spoof_audit"),

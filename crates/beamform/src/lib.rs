@@ -35,11 +35,8 @@
 pub mod beamformer;
 pub mod cmatrix;
 pub mod covariance;
-pub mod eigen;
 mod error;
-pub mod music;
 pub mod pattern;
-pub mod subband;
 
 pub use beamformer::{apply_weights, beamform_real, das_weights, mvdr_weights, MvdrDesigner};
 pub use cmatrix::CMatrix;

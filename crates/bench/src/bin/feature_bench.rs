@@ -34,7 +34,7 @@ use echo_ml::{FeatureExtractor, GrayImage};
 use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::features::ImageFeatures;
-use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
+use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 use echoimage_core::{steering_cache, template_cache};
 use std::time::Instant;
 
@@ -321,8 +321,7 @@ fn main() {
         let body = BodyModel::from_seed(29);
         let caps = scene.capture_train(&body, &Placement::standing_front(0.7), 0, 3, 0);
         let pipeline = EchoImagePipeline::new(PipelineConfig::default());
-        let (images, _) = run_or_exit(pipeline.images_from_train(&caps), "imaging failed");
-        images
+        run_or_exit(pipeline.images(&TrainRequest::new(&caps)), "imaging failed").images
     };
     let spatial_iters = if quick { 50 } else { 500 };
     let spatial_mean_ns = time_ns(reps, spatial_iters, || {

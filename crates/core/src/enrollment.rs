@@ -17,7 +17,7 @@
 use crate::augment::augment_sweep;
 use crate::error::EchoImageError;
 use crate::health::ChannelHealth;
-use crate::pipeline::EchoImagePipeline;
+use crate::pipeline::{EchoImagePipeline, TrainRequest};
 use echo_obs::TraceCtx;
 use echo_sim::BeepCapture;
 
@@ -78,24 +78,93 @@ pub fn enrollment_features(
     visits: &[Vec<BeepCapture>],
     config: &EnrollmentConfig,
 ) -> Result<Vec<Vec<f64>>, EchoImageError> {
-    let root = echo_obs::root_span("enroll.user");
-    let ctx = root.ctx();
-    enrollment_features_traced(ctx, pipeline, visits, config)
+    let request = EnrollRequest {
+        visits,
+        recipe: config,
+        screen: false,
+        parent: None,
+    };
+    Ok(enroll_features(pipeline, &request)?.0)
 }
 
-/// [`enrollment_features`] recording its stage spans as children of
-/// `ctx` instead of minting a fresh trace — used when many users enrol
-/// in parallel under one batch trace. Each visit gets an
-/// `enroll.visit` span indexed by visit number.
-pub fn enrollment_features_traced(
+/// One user's enrolment visits, and how to run the recipe over them:
+/// the request [`enroll_features`] takes.
+#[derive(Debug, Clone, Copy)]
+pub struct EnrollRequest<'a> {
+    /// One raw beep train per registration visit; each visit is ranged
+    /// and imaged independently.
+    pub visits: &'a [Vec<BeepCapture>],
+    /// The enrolment recipe.
+    pub recipe: &'a EnrollmentConfig,
+    /// Health-screen the union of all visits first. Microphones that are
+    /// unhealthy in *any* visit are excised, and the whole recipe
+    /// (ranging, plane diversity, augmentation) runs on the surviving
+    /// subset. A hardware fault is persistent, so a user enrolling on a
+    /// degraded device builds their template in the same mic-subset
+    /// feature space their authentication probes will occupy.
+    pub screen: bool,
+    /// The trace context to record under (used when many users enrol in
+    /// parallel under one batch trace); `None` mints an `enroll.user`
+    /// root. Each visit gets an `enroll.visit` span indexed by visit
+    /// number.
+    pub parent: Option<TraceCtx>,
+}
+
+/// [`enrollment_features`] for any [`EnrollRequest`]. Returns the
+/// features together with the pooled [`ChannelHealth`] when the request
+/// screens, so the caller can record which microphones the template
+/// excludes.
+///
+/// # Errors
+///
+/// * [`EchoImageError::DegradedCapture`] — the request screens and too
+///   few healthy microphones survive to enrol at all.
+/// * Everything [`enrollment_features`] can return.
+pub fn enroll_features(
+    pipeline: &EchoImagePipeline,
+    request: &EnrollRequest,
+) -> Result<(Vec<Vec<f64>>, Option<ChannelHealth>), EchoImageError> {
+    let root;
+    let ctx = match request.parent {
+        Some(ctx) => ctx,
+        None => {
+            root = echo_obs::root_span("enroll.user");
+            root.ctx()
+        }
+    };
+    let (visits, recipe) = (request.visits, request.recipe);
+    if visits.is_empty() || visits.iter().any(|v| v.is_empty()) {
+        return Err(EchoImageError::NoCaptures);
+    }
+    let (subset, health) = if request.screen {
+        let mut tspan = ctx.child("stage.health_screen");
+        let all: Vec<BeepCapture> = visits.iter().flatten().cloned().collect();
+        let health = pipeline.screen_train(&all)?;
+        (pipeline.excise(&health, &mut tspan)?, Some(health))
+    } else {
+        (None, None)
+    };
+    let features = match subset {
+        None => gather_features(ctx, pipeline, visits, recipe)?,
+        Some((pipeline, channels)) => {
+            let visits: Vec<Vec<BeepCapture>> = visits
+                .iter()
+                .map(|v| v.iter().map(|c| c.select_channels(&channels)).collect())
+                .collect();
+            gather_features(ctx, &pipeline, &visits, recipe)?
+        }
+    };
+    Ok((features, health))
+}
+
+/// The recipe body: image every visit at every plane, augment, then
+/// extract features in one batch over the configured thread count.
+fn gather_features(
     ctx: TraceCtx,
     pipeline: &EchoImagePipeline,
     visits: &[Vec<BeepCapture>],
     config: &EnrollmentConfig,
 ) -> Result<Vec<Vec<f64>>, EchoImageError> {
-    if visits.is_empty() || visits.iter().any(|v| v.is_empty()) {
-        return Err(EchoImageError::NoCaptures);
-    }
     let _span = echo_obs::span!("stage.enroll");
     let imaging = &pipeline.config().imaging;
     // Gather every image (captured, re-planed, and augmented) first,
@@ -106,96 +175,28 @@ pub fn enrollment_features_traced(
     for (v, visit) in visits.iter().enumerate() {
         let mut vspan = ctx.child_at("enroll.visit", v as u64);
         vspan.attr_u64("beeps", visit.len() as u64);
-        let (images, est) = pipeline.images_from_train_multi_plane_traced(
-            vspan.ctx(),
-            visit,
-            &config.plane_offsets,
-        )?;
-        for img in images {
+        let train = pipeline.images(&TrainRequest {
+            plane_offsets: &config.plane_offsets,
+            parent: Some(vspan.ctx()),
+            ..TrainRequest::new(visit)
+        })?;
+        let est = train.estimate.horizontal_distance;
+        for img in train.images {
             let synth = if config.augment_offsets.is_empty() {
                 Vec::new()
             } else {
                 let targets: Vec<f64> = config
                     .augment_offsets
                     .iter()
-                    .map(|o| (est.horizontal_distance + o).max(0.2))
+                    .map(|o| (est + o).max(0.2))
                     .collect();
-                augment_sweep(&img, imaging, est.horizontal_distance, &targets)?
+                augment_sweep(&img, imaging, est, &targets)?
             };
             gathered.push(img);
             gathered.extend(synth);
         }
     }
     Ok(pipeline.features_batch_traced(ctx, &gathered))
-}
-
-/// [`enrollment_features`] with channel-health screening: microphones
-/// that are unhealthy in *any* visit are excised, and the whole recipe
-/// (ranging, plane diversity, augmentation) runs on the surviving
-/// subset. A hardware fault is persistent, so a user enrolling on a
-/// degraded device builds their template in the same mic-subset feature
-/// space their authentication probes will occupy.
-///
-/// Returns the features together with the pooled [`ChannelHealth`] so
-/// the caller can record which microphones the template excludes.
-///
-/// # Errors
-///
-/// * [`EchoImageError::DegradedCapture`] — too few healthy microphones
-///   to enrol at all.
-/// * Everything [`enrollment_features`] can return.
-pub fn enrollment_features_degraded(
-    pipeline: &EchoImagePipeline,
-    visits: &[Vec<BeepCapture>],
-    config: &EnrollmentConfig,
-) -> Result<(Vec<Vec<f64>>, ChannelHealth), EchoImageError> {
-    let root = echo_obs::root_span("enroll.user");
-    let ctx = root.ctx();
-    enrollment_features_degraded_traced(ctx, pipeline, visits, config)
-}
-
-/// [`enrollment_features_degraded`] under an existing trace context.
-pub fn enrollment_features_degraded_traced(
-    ctx: TraceCtx,
-    pipeline: &EchoImagePipeline,
-    visits: &[Vec<BeepCapture>],
-    config: &EnrollmentConfig,
-) -> Result<(Vec<Vec<f64>>, ChannelHealth), EchoImageError> {
-    if visits.is_empty() || visits.iter().any(|v| v.is_empty()) {
-        return Err(EchoImageError::NoCaptures);
-    }
-    let all: Vec<BeepCapture> = visits.iter().flatten().cloned().collect();
-    let mut sspan = ctx.child("stage.health_screen");
-    let health = pipeline.screen_train(&all)?;
-    sspan.attr_u64("channels", health.num_channels() as u64);
-    sspan.attr_u64("healthy", health.num_healthy() as u64);
-    sspan.attr_u64("excised_mask", health.excised_mask());
-    drop(sspan);
-    if health.all_healthy() {
-        return Ok((
-            enrollment_features_traced(ctx, pipeline, visits, config)?,
-            health,
-        ));
-    }
-    let healthy = health.healthy_indices();
-    let required = pipeline.config().health.min_mics.max(2);
-    if healthy.len() < required {
-        return Err(EchoImageError::DegradedCapture {
-            healthy: healthy.len(),
-            required,
-            mask: health.excised_mask(),
-        });
-    }
-    let sub_pipeline =
-        EchoImagePipeline::with_array(pipeline.config().clone(), pipeline.array().subset(&healthy));
-    let sub_visits: Vec<Vec<BeepCapture>> = visits
-        .iter()
-        .map(|v| v.iter().map(|c| c.select_channels(&healthy)).collect())
-        .collect();
-    Ok((
-        enrollment_features_traced(ctx, &sub_pipeline, &sub_visits, config)?,
-        health,
-    ))
 }
 
 #[cfg(test)]

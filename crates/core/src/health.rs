@@ -7,7 +7,7 @@
 //! statistics (energy relative to its siblings, DC level, clip
 //! fraction) and produces a [`ChannelHealth`] mask; degraded-mode
 //! beamforming then images with the surviving subset (see
-//! [`crate::pipeline::EchoImagePipeline::images_from_train_degraded`]).
+//! [`crate::pipeline::TrainRequest::screen`]).
 //!
 //! Screening runs on *raw* captures, before band-pass preprocessing:
 //! the band-pass filter removes exactly the DC and out-of-band evidence

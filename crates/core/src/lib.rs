@@ -48,7 +48,6 @@ pub mod distance;
 pub mod enrollment;
 mod error;
 pub mod features;
-pub mod fusion;
 pub mod health;
 pub mod imaging;
 pub mod par;

@@ -15,7 +15,7 @@ use crate::par::parallel_map_indexed;
 use echo_array::MicArray;
 use echo_dsp::filter::SosFilter;
 use echo_ml::GrayImage;
-use echo_obs::TraceCtx;
+use echo_obs::{TraceCtx, TraceSpan};
 use echo_sim::BeepCapture;
 
 /// The assembled EchoImage processing pipeline.
@@ -24,17 +24,17 @@ use echo_sim::BeepCapture;
 ///
 /// ```
 /// use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
-/// use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
+/// use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 ///
 /// let scene = Scene::new(SceneConfig::laboratory_quiet(4));
 /// let user = BodyModel::from_seed(12);
 /// let captures = scene.capture_train(&user, &Placement::standing_front(0.7), 0, 3, 0);
 ///
 /// let pipeline = EchoImagePipeline::new(PipelineConfig::default());
-/// let (images, estimate) = pipeline.images_from_train(&captures).unwrap();
-/// assert_eq!(images.len(), 3);
-/// assert!((estimate.horizontal_distance - 0.7).abs() < 0.2);
-/// let features = pipeline.features(&images[0]);
+/// let train = pipeline.images(&TrainRequest::new(&captures)).unwrap();
+/// assert_eq!(train.images.len(), 3);
+/// assert!((train.estimate.horizontal_distance - 0.7).abs() < 0.2);
+/// let features = pipeline.features(&train.images[0]);
 /// assert!(!features.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -45,9 +45,52 @@ pub struct EchoImagePipeline {
     bandpass: SosFilter,
 }
 
-/// `None` when every channel is healthy (normal path applies); the
-/// mic-subset captures and matching subset pipeline otherwise.
-type DegradedRoute = Option<(Vec<BeepCapture>, EchoImagePipeline)>;
+/// One beep train to image, and how: the request
+/// [`EchoImagePipeline::images`] takes. [`TrainRequest::new`] is the
+/// plain route (estimated plane only, no screening, its own trace root);
+/// set fields with struct-update syntax for the others.
+#[derive(Debug, Clone, Copy)]
+pub struct TrainRequest<'a> {
+    /// The raw beep captures of one train.
+    pub captures: &'a [BeepCapture],
+    /// Plane distances to image at besides the estimated plane, as
+    /// offsets from the estimate in metres (clamped to at least 0.2 m).
+    /// Re-imaging the same captures is how enrolment makes the
+    /// classifier see distance-estimate jitter. Empty images the
+    /// estimated plane only.
+    pub plane_offsets: &'a [f64],
+    /// Health-screen the raw train first and image from the surviving
+    /// microphones (see [`TrainImages::health`]).
+    pub screen: bool,
+    /// The trace context to record under; `None` mints a
+    /// `pipeline.images_from_train` root.
+    pub parent: Option<TraceCtx>,
+}
+
+impl<'a> TrainRequest<'a> {
+    /// The plain route over `captures`.
+    pub fn new(captures: &'a [BeepCapture]) -> Self {
+        TrainRequest {
+            captures,
+            plane_offsets: &[],
+            screen: false,
+            parent: None,
+        }
+    }
+}
+
+/// What [`EchoImagePipeline::images`] returns.
+#[derive(Debug, Clone)]
+pub struct TrainImages {
+    /// Per capture, the image at the estimated plane followed by one per
+    /// plane offset.
+    pub images: Vec<GrayImage>,
+    /// The train's distance estimate (from the surviving microphones
+    /// when channels were excised).
+    pub estimate: DistanceEstimate,
+    /// The screen's verdict when the request screened, `None` otherwise.
+    pub health: Option<ChannelHealth>,
+}
 
 impl EchoImagePipeline {
     /// Builds the pipeline for the paper's prototype array geometry.
@@ -123,65 +166,62 @@ impl EchoImagePipeline {
     }
 
     /// Full front half of the system: estimates the distance from the
-    /// whole train, then builds one acoustic image per beep.
+    /// whole train, then builds one acoustic image per beep and plane.
+    ///
+    /// Each field of [`TrainRequest`] picks one variant of the route:
+    /// extra planes for enrolment-time plane diversity, health screening
+    /// for the degraded route, and the trace context to record under.
     ///
     /// # Errors
     ///
-    /// Propagates distance-estimation and imaging errors.
-    pub fn images_from_train(
-        &self,
-        captures: &[BeepCapture],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
-        let root = echo_obs::root_span("pipeline.images_from_train");
-        let ctx = root.ctx();
-        self.images_from_train_traced(ctx, captures)
+    /// * [`EchoImageError::DegradedCapture`] — the request screens and
+    ///   too few healthy microphones survive; reject the capture and
+    ///   retry.
+    /// * Distance-estimation, imaging and screening errors.
+    pub fn images(&self, request: &TrainRequest) -> Result<TrainImages, EchoImageError> {
+        let root;
+        let ctx = match request.parent {
+            Some(ctx) => ctx,
+            None => {
+                root = echo_obs::root_span("pipeline.images_from_train");
+                root.ctx()
+            }
+        };
+        let (captures, offsets) = (request.captures, request.plane_offsets);
+        let (subset, health) = if request.screen {
+            let mut tspan = ctx.child("stage.health_screen");
+            let health = self.screen_train(captures)?;
+            (self.excise(&health, &mut tspan)?, Some(health))
+        } else {
+            (None, None)
+        };
+        let (images, estimate) = match subset {
+            None => self.image_train(ctx, captures, offsets)?,
+            Some((pipeline, channels)) => {
+                let captures: Vec<BeepCapture> = captures
+                    .iter()
+                    .map(|c| c.select_channels(&channels))
+                    .collect();
+                pipeline.image_train(ctx, &captures, offsets)?
+            }
+        };
+        Ok(TrainImages {
+            images,
+            estimate,
+            health,
+        })
     }
 
-    /// [`EchoImagePipeline::images_from_train`] recording its stage
-    /// spans as children of `ctx` instead of minting a fresh trace —
-    /// the variant callers inside a traced attempt (auth, eval batches)
-    /// use. Per-beep preprocess, analytic and imaging spans carry the
-    /// beep index as their logical index.
-    pub fn images_from_train_traced(
-        &self,
-        ctx: TraceCtx,
-        captures: &[BeepCapture],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
-        self.images_from_train_multi_plane_traced(ctx, captures, &[])
-    }
-
-    /// Like [`EchoImagePipeline::images_from_train`], but additionally
-    /// constructs images at plane distances offset from the estimate by
-    /// each of `plane_offsets` — true geometric re-imaging of the same
-    /// captures, used at enrolment so the classifier sees the feature
-    /// variation caused by distance-estimate jitter.
-    ///
-    /// Returns `(images, estimate)` where `images` holds, per capture,
-    /// the image at the estimated plane followed by one per offset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates distance-estimation and imaging errors.
-    pub fn images_from_train_multi_plane(
-        &self,
-        captures: &[BeepCapture],
-        plane_offsets: &[f64],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
-        let root = echo_obs::root_span("pipeline.images_multi_plane");
-        let ctx = root.ctx();
-        self.images_from_train_multi_plane_traced(ctx, captures, plane_offsets)
-    }
-
-    /// [`EchoImagePipeline::images_from_train_multi_plane`] under an
-    /// existing trace context. Weight-design spans use the plane index
-    /// (0 = the estimated plane) and imaging spans the flattened
-    /// capture×plane job index as their logical index.
+    /// The imaging body under `ctx`. Weight-design spans use the plane
+    /// index (0 = the estimated plane) and imaging spans the flattened
+    /// capture×plane job index as their logical index; per-beep
+    /// preprocess and analytic spans carry the beep index.
     ///
     /// Each beep is band-passed and transformed to its per-channel
     /// analytic signal once; ranging and every plane's imaging read those
     /// same buffers. Each plane's weights are designed once and shared by
     /// every beep. Both are dropped when the call returns.
-    pub fn images_from_train_multi_plane_traced(
+    fn image_train(
         &self,
         ctx: TraceCtx,
         captures: &[BeepCapture],
@@ -279,18 +319,11 @@ impl EchoImagePipeline {
     ) -> Result<Vec<Vec<f64>>, EchoImageError> {
         let root = echo_obs::root_span("pipeline.features_from_train");
         let ctx = root.ctx();
-        self.features_from_train_traced(ctx, captures)
-    }
-
-    /// [`EchoImagePipeline::features_from_train`] under an existing
-    /// trace context.
-    pub fn features_from_train_traced(
-        &self,
-        ctx: TraceCtx,
-        captures: &[BeepCapture],
-    ) -> Result<Vec<Vec<f64>>, EchoImageError> {
-        let (images, _) = self.images_from_train_traced(ctx, captures)?;
-        Ok(self.features_batch_traced(ctx, &images))
+        let train = self.images(&TrainRequest {
+            parent: Some(ctx),
+            ..TrainRequest::new(captures)
+        })?;
+        Ok(self.features_batch_traced(ctx, &train.images))
     }
 
     /// Screens the train for channel faults.
@@ -306,21 +339,29 @@ impl EchoImagePipeline {
         crate::health::screen_train(captures, &self.config.health)
     }
 
-    /// Screens the train and, when channels must be excised, builds the
-    /// mic-subset captures and pipeline. `Ok((None, health))` means every
-    /// channel passed and the normal path applies unchanged.
-    fn degraded_route(
+    /// Channel excision, the one place a screened route turns a
+    /// [`ChannelHealth`] into a way forward, recording the verdict on
+    /// the route's `stage.health_screen` span:
+    ///
+    /// * `Ok(None)` — every channel passed; the normal path applies
+    ///   unchanged, so healthy captures stay bit-identical to it.
+    /// * `Ok(Some((pipeline, channels)))` — some channels failed but at
+    ///   least `max(min_mics, 2)` survive: the pipeline over the
+    ///   surviving mic subset (its own geometry fingerprint, so
+    ///   steering-field cache entries never mix) and the channels to
+    ///   keep of each capture. Bumps `degraded.activations`.
+    /// * `Err(DegradedCapture)` — too few healthy microphones. Bumps
+    ///   `degraded.rejections` and marks the span `rejected`.
+    pub(crate) fn excise(
         &self,
-        ctx: TraceCtx,
-        captures: &[BeepCapture],
-    ) -> Result<(DegradedRoute, ChannelHealth), EchoImageError> {
-        let mut tspan = ctx.child("stage.health_screen");
-        let health = self.screen_train(captures)?;
+        health: &ChannelHealth,
+        tspan: &mut TraceSpan,
+    ) -> Result<Option<(EchoImagePipeline, Vec<usize>)>, EchoImageError> {
         tspan.attr_u64("channels", health.num_channels() as u64);
         tspan.attr_u64("healthy", health.num_healthy() as u64);
         tspan.attr_u64("excised_mask", health.excised_mask());
         if health.all_healthy() {
-            return Ok((None, health));
+            return Ok(None);
         }
         let healthy = health.healthy_indices();
         let required = self.config.health.min_mics.max(2);
@@ -334,118 +375,9 @@ impl EchoImagePipeline {
             });
         }
         echo_obs::counter!("degraded.activations").inc();
-        let sub_captures: Vec<BeepCapture> = captures
-            .iter()
-            .map(|c| c.select_channels(&healthy))
-            .collect();
-        let sub_pipeline =
+        let subset =
             EchoImagePipeline::with_array(self.config.clone(), self.array.subset(&healthy));
-        Ok((Some((sub_captures, sub_pipeline)), health))
-    }
-
-    /// [`EchoImagePipeline::images_from_train`] with channel-health
-    /// screening: faulted microphones are excised and the train is imaged
-    /// from the surviving subset.
-    ///
-    /// When every channel passes the screen this delegates to the normal
-    /// path, so healthy captures produce bit-identical images. When some
-    /// channels fail but at least `max(min_mics, 2)` survive, the
-    /// captures and the array geometry are both narrowed to the
-    /// survivors and imaged as usual (the subset array has its own
-    /// geometry fingerprint, so steering-field cache entries never mix).
-    ///
-    /// # Errors
-    ///
-    /// * [`EchoImageError::DegradedCapture`] — too few healthy
-    ///   microphones; reject the capture and retry.
-    /// * Everything [`EchoImagePipeline::images_from_train`] and
-    ///   [`EchoImagePipeline::screen_train`] can return.
-    pub fn images_from_train_degraded(
-        &self,
-        captures: &[BeepCapture],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate, ChannelHealth), EchoImageError> {
-        let root = echo_obs::root_span("pipeline.images_from_train");
-        let ctx = root.ctx();
-        self.images_from_train_degraded_traced(ctx, captures)
-    }
-
-    /// [`EchoImagePipeline::images_from_train_degraded`] under an
-    /// existing trace context.
-    pub fn images_from_train_degraded_traced(
-        &self,
-        ctx: TraceCtx,
-        captures: &[BeepCapture],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate, ChannelHealth), EchoImageError> {
-        let (route, health) = self.degraded_route(ctx, captures)?;
-        let (images, estimate) = match &route {
-            None => self.images_from_train_traced(ctx, captures)?,
-            Some((sub_captures, sub_pipeline)) => {
-                sub_pipeline.images_from_train_traced(ctx, sub_captures)?
-            }
-        };
-        Ok((images, estimate, health))
-    }
-
-    /// [`EchoImagePipeline::images_from_train_multi_plane`] through the
-    /// degraded path — plane-diverse enrolment imaging that excises
-    /// faulted microphones the same way
-    /// [`EchoImagePipeline::images_from_train_degraded`] does.
-    ///
-    /// # Errors
-    ///
-    /// See [`EchoImagePipeline::images_from_train_degraded`].
-    pub fn images_from_train_multi_plane_degraded(
-        &self,
-        captures: &[BeepCapture],
-        plane_offsets: &[f64],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate, ChannelHealth), EchoImageError> {
-        let root = echo_obs::root_span("pipeline.images_multi_plane");
-        let ctx = root.ctx();
-        self.images_from_train_multi_plane_degraded_traced(ctx, captures, plane_offsets)
-    }
-
-    /// [`EchoImagePipeline::images_from_train_multi_plane_degraded`]
-    /// under an existing trace context.
-    pub fn images_from_train_multi_plane_degraded_traced(
-        &self,
-        ctx: TraceCtx,
-        captures: &[BeepCapture],
-        plane_offsets: &[f64],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate, ChannelHealth), EchoImageError> {
-        let (route, health) = self.degraded_route(ctx, captures)?;
-        let (images, estimate) = match &route {
-            None => self.images_from_train_multi_plane_traced(ctx, captures, plane_offsets)?,
-            Some((sub_captures, sub_pipeline)) => sub_pipeline
-                .images_from_train_multi_plane_traced(ctx, sub_captures, plane_offsets)?,
-        };
-        Ok((images, estimate, health))
-    }
-
-    /// [`EchoImagePipeline::features_from_train`] through the degraded
-    /// path: screen, excise faulted microphones, image from the
-    /// survivors, extract features.
-    ///
-    /// # Errors
-    ///
-    /// See [`EchoImagePipeline::images_from_train_degraded`].
-    pub fn features_from_train_degraded(
-        &self,
-        captures: &[BeepCapture],
-    ) -> Result<(Vec<Vec<f64>>, ChannelHealth), EchoImageError> {
-        let root = echo_obs::root_span("pipeline.features_from_train");
-        let ctx = root.ctx();
-        self.features_from_train_degraded_traced(ctx, captures)
-    }
-
-    /// [`EchoImagePipeline::features_from_train_degraded`] under an
-    /// existing trace context.
-    pub fn features_from_train_degraded_traced(
-        &self,
-        ctx: TraceCtx,
-        captures: &[BeepCapture],
-    ) -> Result<(Vec<Vec<f64>>, ChannelHealth), EchoImageError> {
-        let (images, _, health) = self.images_from_train_degraded_traced(ctx, captures)?;
-        Ok((self.features_batch_traced(ctx, &images), health))
+        Ok(Some((subset, healthy)))
     }
 }
 
@@ -484,9 +416,11 @@ mod tests {
         let body = BodyModel::from_seed(31);
         let caps = scene.capture_train(&body, &Placement::standing_front(0.7), 0, 2, 0);
         let p = pipeline();
-        let (images, est) = p.images_from_train(&caps).unwrap();
+        let TrainImages {
+            images, estimate, ..
+        } = p.images(&TrainRequest::new(&caps)).unwrap();
         assert_eq!(images.len(), 2);
-        assert!((est.horizontal_distance - 0.7).abs() < 0.2);
+        assert!((estimate.horizontal_distance - 0.7).abs() < 0.2);
         let feats = p.features_from_train(&caps).unwrap();
         assert_eq!(feats.len(), 2);
         assert_eq!(feats[0].len(), p.feature_extractor().feature_len());

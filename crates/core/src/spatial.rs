@@ -87,7 +87,7 @@ pub fn image_spread(image: &GrayImage) -> f64 {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::pipeline::EchoImagePipeline;
+    use crate::pipeline::{EchoImagePipeline, TrainRequest};
     use echo_sim::body::{BodyModel, Placement};
     use echo_sim::scene::{Scene, SceneConfig};
     use echo_sim::spoof::SpoofPlan;
@@ -128,11 +128,11 @@ mod tests {
         for seed in [11u64, 22, 33] {
             let victim = BodyModel::from_seed(seed);
             let caps = scene.capture_train(&victim, &p, 0, 3, 0);
-            let (gi, _) = pipe.images_from_train(&caps).unwrap();
+            let gi = pipe.images(&TrainRequest::new(&caps)).unwrap().images;
             let g = train_spread(&cfg, &gi).unwrap();
             let plan = SpoofPlan::replay_of(&caps, 0.7, seed);
             let attack = plan.capture_train(&scene, &p, 5, 3, 0);
-            let (ri, _) = pipe.images_from_train(&attack).unwrap();
+            let ri = pipe.images(&TrainRequest::new(&attack)).unwrap().images;
             let r = train_spread(&cfg, &ri).unwrap();
             genuine_max = genuine_max.max(g);
             replay_min = replay_min.min(r);

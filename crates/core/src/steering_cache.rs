@@ -18,7 +18,7 @@
 //! counters. The hit/miss decision is made while holding the cache
 //! lock, and a miss publishes its in-flight slot before releasing it,
 //! so the counts are deterministic for a fixed workload at any worker
-//! count (as long as the working set fits [`CACHE_CAPACITY`], which it
+//! count (as long as the working set fits `CACHE_CAPACITY`, which it
 //! does by design).
 
 use crate::config::ImagingConfig;
@@ -150,30 +150,6 @@ pub fn steering_field(
     Arc::clone(slot.get_or_init(|| Arc::new(compute_field(array, icfg, horizontal_distance, f0))))
 }
 
-/// [`steering_field`] for a microphone subset of `array`: the array is
-/// narrowed to the `healthy` elements (ascending original indices, at
-/// least two) before the lookup. The subset geometry carries its own
-/// fingerprint, so degraded sweeps get their own cache entries — and a
-/// full mask resolves to the very same entry as the unmasked call,
-/// because the fingerprints coincide.
-///
-/// # Panics
-///
-/// Panics if the mask is malformed (see [`MicArray::subset`]); callers
-/// should validate the mask against the channel-health screen first.
-pub fn steering_field_masked(
-    array: &MicArray,
-    healthy: &[usize],
-    icfg: &ImagingConfig,
-    horizontal_distance: f64,
-    f0: f64,
-) -> Arc<SteeringField> {
-    if healthy.len() == array.len() {
-        return steering_field(array, icfg, horizontal_distance, f0);
-    }
-    steering_field(&array.subset(healthy), icfg, horizontal_distance, f0)
-}
-
 /// Number of geometries currently cached (for tests and benchmarks).
 pub fn cache_len() -> usize {
     CACHE.lock().len()
@@ -240,13 +216,13 @@ mod tests {
     fn masked_lookup_shares_and_separates_entries_correctly() {
         let array = MicArray::respeaker_6();
         let cfg = icfg(4);
-        // Full mask: same entry as the unmasked lookup.
+        // Full mask: same entry as the full array.
         let full = steering_field(&array, &cfg, 0.68, 2_500.0);
-        let masked_full = steering_field_masked(&array, &[0, 1, 2, 3, 4, 5], &cfg, 0.68, 2_500.0);
-        assert!(Arc::ptr_eq(&full, &masked_full));
+        let full_subset = steering_field(&array.subset(&[0, 1, 2, 3, 4, 5]), &cfg, 0.68, 2_500.0);
+        assert!(Arc::ptr_eq(&full, &full_subset));
         // Proper subset: its own entry, bit-identical to a fresh compute
         // on the subset geometry.
-        let sub = steering_field_masked(&array, &[0, 2, 3, 5], &cfg, 0.68, 2_500.0);
+        let sub = steering_field(&array.subset(&[0, 2, 3, 5]), &cfg, 0.68, 2_500.0);
         assert!(!Arc::ptr_eq(&full, &sub));
         let fresh = compute_field(&array.subset(&[0, 2, 3, 5]), &cfg, 0.68, 2_500.0);
         for row in 0..cfg.grid_n {

@@ -9,7 +9,7 @@
 //! 1. **Compact binary templates** — per user, a quantized (`f32`)
 //!    embedding centroid plus the exact (`f64`) SVDD support vectors,
 //!    coefficients, ρ and calibrated threshold — written to versioned,
-//!    checksummed shard files ([`shard`], [`format`]) and served via
+//!    checksummed shard files ([`shard`], [`format`](mod@format)) and served via
 //!    memory-mapped zero-copy reads ([`mmap`]) with a portable
 //!    heap-decoding fallback reader.
 //! 2. **A coarse centroid prefilter** ([`prefilter`]) — an IVF-style

@@ -9,7 +9,7 @@
 use echo_ml::GrayImage;
 use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
-use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
+use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 use echoimage_core::steering_cache;
 
 fn config(threads: usize) -> PipelineConfig {
@@ -41,13 +41,15 @@ fn four_threads_match_serial_reference() {
     let body = BodyModel::from_seed(21);
     let caps = scene.capture_train(&body, &Placement::standing_front(0.7), 0, 3, 0);
 
-    let (serial, est_serial) = EchoImagePipeline::new(config(1))
-        .images_from_train(&caps)
+    let train = EchoImagePipeline::new(config(1))
+        .images(&TrainRequest::new(&caps))
         .unwrap();
+    let (serial, est_serial) = (train.images, train.estimate);
     for threads in [2, 4] {
-        let (parallel, est_parallel) = EchoImagePipeline::new(config(threads))
-            .images_from_train(&caps)
+        let train = EchoImagePipeline::new(config(threads))
+            .images(&TrainRequest::new(&caps))
             .unwrap();
+        let (parallel, est_parallel) = (train.images, train.estimate);
         assert_eq!(
             est_serial.horizontal_distance.to_bits(),
             est_parallel.horizontal_distance.to_bits()
@@ -63,12 +65,18 @@ fn multi_plane_fanout_matches_serial_reference() {
     let caps = scene.capture_train(&body, &Placement::standing_front(0.7), 0, 2, 0);
     let offsets = [-0.03, 0.03];
 
-    let (serial, _) = EchoImagePipeline::new(config(1))
-        .images_from_train_multi_plane(&caps, &offsets)
-        .unwrap();
-    let (parallel, _) = EchoImagePipeline::new(config(4))
-        .images_from_train_multi_plane(&caps, &offsets)
-        .unwrap();
+    let request = TrainRequest {
+        plane_offsets: &offsets,
+        ..TrainRequest::new(&caps)
+    };
+    let serial = EchoImagePipeline::new(config(1))
+        .images(&request)
+        .unwrap()
+        .images;
+    let parallel = EchoImagePipeline::new(config(4))
+        .images(&request)
+        .unwrap()
+        .images;
     // capture-major order: (beeps) × (estimate + two offsets).
     assert_eq!(serial.len(), 2 * 3);
     assert_images_bit_identical(&serial, &parallel);
@@ -99,11 +107,13 @@ fn auto_thread_count_matches_serial_reference() {
     let body = BodyModel::from_seed(24);
     let caps = scene.capture_train(&body, &Placement::standing_front(0.7), 0, 2, 0);
 
-    let (serial, _) = EchoImagePipeline::new(config(1))
-        .images_from_train(&caps)
-        .unwrap();
-    let (auto, _) = EchoImagePipeline::new(config(0))
-        .images_from_train(&caps)
-        .unwrap();
+    let serial = EchoImagePipeline::new(config(1))
+        .images(&TrainRequest::new(&caps))
+        .unwrap()
+        .images;
+    let auto = EchoImagePipeline::new(config(0))
+        .images(&TrainRequest::new(&caps))
+        .unwrap()
+        .images;
     assert_images_bit_identical(&serial, &auto);
 }

@@ -14,9 +14,13 @@
 
 use echo_ml::GrayImage;
 use echo_sim::{BodyModel, ChannelFault, FaultKind, FaultPlan, Placement, Scene, SceneConfig};
+use echoimage_core::auth::AuthAttempt;
 use echoimage_core::config::ImagingConfig;
-use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
-use echoimage_core::{AuthDecision, Authenticator, EchoImageError, RetryPolicy};
+use echoimage_core::enrollment::{enroll_features, EnrollRequest, EnrollmentConfig};
+use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
+use echoimage_core::{
+    AuthDecision, Authenticator, ChannelHealth, DistanceEstimate, EchoImageError, RetryPolicy,
+};
 
 /// Worker threads for the pipeline under test (`ECHOIMAGE_THREADS`,
 /// default auto).
@@ -47,6 +51,23 @@ fn assert_images_bit_identical(a: &[GrayImage], b: &[GrayImage]) {
     }
 }
 
+/// The health-screened route: images, estimate and the screen's verdict.
+fn screened(
+    pipeline: &EchoImagePipeline,
+    captures: &[echo_sim::BeepCapture],
+) -> Result<(Vec<GrayImage>, DistanceEstimate, ChannelHealth), EchoImageError> {
+    let request = TrainRequest {
+        screen: true,
+        ..TrainRequest::new(captures)
+    };
+    let train = pipeline.images(&request)?;
+    Ok((
+        train.images,
+        train.estimate,
+        train.health.expect("screened"),
+    ))
+}
+
 fn train(seed: u64, body_seed: u64, beeps: usize, salt: u64) -> Vec<echo_sim::BeepCapture> {
     let scene = Scene::new(SceneConfig::laboratory_quiet(seed));
     let body = BodyModel::from_seed(body_seed);
@@ -60,7 +81,7 @@ fn dead_channel_images_match_direct_subset_pipeline() {
     let faulted = plan.apply_train(&caps);
 
     let pipeline = EchoImagePipeline::new(config(pool_threads()));
-    let (degraded, est, health) = pipeline.images_from_train_degraded(&faulted).unwrap();
+    let (degraded, est, health) = screened(&pipeline, &faulted).unwrap();
     assert!(!health.is_healthy(2), "dead mic 2 must be flagged");
     assert_eq!(health.healthy_indices(), vec![0, 1, 3, 4, 5]);
 
@@ -72,7 +93,8 @@ fn dead_channel_images_match_direct_subset_pipeline() {
         .collect();
     let sub_pipeline =
         EchoImagePipeline::with_array(config(pool_threads()), pipeline.array().subset(&healthy));
-    let (reference, ref_est) = sub_pipeline.images_from_train(&sub_caps).unwrap();
+    let train = sub_pipeline.images(&TrainRequest::new(&sub_caps)).unwrap();
+    let (reference, ref_est) = (train.images, train.estimate);
     assert_eq!(
         est.horizontal_distance.to_bits(),
         ref_est.horizontal_distance.to_bits()
@@ -88,12 +110,9 @@ fn degraded_imaging_is_bit_identical_across_thread_counts() {
         .with_fault(4, ChannelFault::from_severity(FaultKind::Clipping, 1.0));
     let faulted = plan.apply_train(&caps);
 
-    let (serial, est_serial, _) = EchoImagePipeline::new(config(1))
-        .images_from_train_degraded(&faulted)
-        .unwrap();
-    let (pooled, est_pooled, _) = EchoImagePipeline::new(config(pool_threads()))
-        .images_from_train_degraded(&faulted)
-        .unwrap();
+    let (serial, est_serial, _) = screened(&EchoImagePipeline::new(config(1)), &faulted).unwrap();
+    let (pooled, est_pooled, _) =
+        screened(&EchoImagePipeline::new(config(pool_threads())), &faulted).unwrap();
     assert_eq!(
         est_serial.horizontal_distance.to_bits(),
         est_pooled.horizontal_distance.to_bits()
@@ -105,8 +124,9 @@ fn degraded_imaging_is_bit_identical_across_thread_counts() {
 fn healthy_train_takes_the_bit_identical_normal_path() {
     let caps = train(41, 63, 2, 0);
     let pipeline = EchoImagePipeline::new(config(pool_threads()));
-    let (normal, est_n) = pipeline.images_from_train(&caps).unwrap();
-    let (degraded, est_d, health) = pipeline.images_from_train_degraded(&caps).unwrap();
+    let train = pipeline.images(&TrainRequest::new(&caps)).unwrap();
+    let (normal, est_n) = (train.images, train.estimate);
+    let (degraded, est_d, health) = screened(&pipeline, &caps).unwrap();
     assert!(health.all_healthy());
     assert_eq!(
         est_n.horizontal_distance.to_bits(),
@@ -129,7 +149,7 @@ fn every_fault_kind_yields_a_decision_or_a_typed_reject() {
         let caps = train(43, 64, 3, 1_000 + i as u64);
         let plan = FaultPlan::uniform(kind, 1.0, &[1, 4], 19 + i as u64);
         let faulted = plan.apply_train(&caps);
-        match auth.authenticate_train(&pipeline, &faulted) {
+        match auth.authenticate_train(&pipeline, &faulted, AuthAttempt::default()) {
             Ok(_) => {}
             Err(EchoImageError::DegradedCapture {
                 healthy, required, ..
@@ -163,17 +183,20 @@ fn two_dead_mics_still_enrol_and_authenticate_the_right_user() {
             ))
         })
         .collect();
-    let (enroll_feats, health) = echoimage_core::enrollment::enrollment_features_degraded(
-        &pipeline,
-        &visits,
-        &echoimage_core::enrollment::EnrollmentConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(health.healthy_indices(), vec![0, 2, 3, 5]);
+    let request = EnrollRequest {
+        visits: &visits,
+        recipe: &EnrollmentConfig::default(),
+        screen: true,
+        parent: None,
+    };
+    let (enroll_feats, health) = enroll_features(&pipeline, &request).unwrap();
+    assert_eq!(health.unwrap().healthy_indices(), vec![0, 2, 3, 5]);
     let auth = Authenticator::enroll(&[(1, enroll_feats)], &Default::default()).unwrap();
 
     let probe = plan.apply_train(&train(47, 65, 4, 5_000));
-    let decision = auth.authenticate_train(&pipeline, &probe).unwrap();
+    let decision = auth
+        .authenticate_train(&pipeline, &probe, AuthAttempt::default())
+        .unwrap();
     assert_eq!(decision, AuthDecision::Accepted { user_id: 1 });
 
     // A different body probing through the same degraded hardware must
@@ -182,7 +205,9 @@ fn two_dead_mics_still_enrol_and_authenticate_the_right_user() {
     let impostor = BodyModel::from_seed(90);
     let imp_caps =
         plan.apply_train(&scene.capture_train(&impostor, &Placement::standing_front(0.7), 0, 4, 0));
-    let imp_decision = auth.authenticate_train(&pipeline, &imp_caps).unwrap();
+    let imp_decision = auth
+        .authenticate_train(&pipeline, &imp_caps, AuthAttempt::default())
+        .unwrap();
     assert_eq!(imp_decision, AuthDecision::Rejected);
 }
 
@@ -191,9 +216,7 @@ fn too_many_dead_mics_reject_with_counts() {
     let caps = train(53, 66, 2, 0);
     let plan = FaultPlan::uniform(FaultKind::Dead, 1.0, &[0, 2, 3, 5], 29);
     let pipeline = EchoImagePipeline::new(config(pool_threads()));
-    let err = pipeline
-        .images_from_train_degraded(&plan.apply_train(&caps))
-        .unwrap_err();
+    let err = screened(&pipeline, &plan.apply_train(&caps)).unwrap_err();
     assert_eq!(
         err,
         EchoImageError::DegradedCapture {

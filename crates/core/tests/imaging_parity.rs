@@ -10,8 +10,11 @@
 //! tests pin the two routes to bit-identical estimates and images on
 //! the healthy route, the degraded route (one faulted channel) and the
 //! multi-plane enrolment route, at the `ECHOIMAGE_THREADS` count under
-//! test. A last test pins the imaging kernel against the per-cell
-//! complex multiply–accumulate it replaced, kept here as the oracle.
+//! test. Enrolment is pinned the same way: the recipe against the
+//! stage calls plus augmentation and one feature batch, and the
+//! screened recipe against the plain one on the surviving mic subset.
+//! A last test pins the imaging kernel against the per-cell complex
+//! multiply–accumulate it replaced, kept here as the oracle.
 
 use echo_array::MicArray;
 use echo_beamform::{das_weights, MvdrDesigner, SpatialCovariance};
@@ -19,10 +22,14 @@ use echo_dsp::hilbert::analytic_signal_padded;
 use echo_dsp::{Complex, SPEED_OF_SOUND};
 use echo_ml::GrayImage;
 use echo_sim::{BeepCapture, BodyModel, ChannelFault, FaultPlan, Placement, Scene, SceneConfig};
+use echoimage_core::augment::augment_sweep;
 use echoimage_core::config::{BeamformerKind, ImagingConfig};
 use echoimage_core::distance::{self, DistanceEstimate};
+use echoimage_core::enrollment::{
+    enroll_features, enrollment_features, EnrollRequest, EnrollmentConfig,
+};
 use echoimage_core::imaging;
-use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
+use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainImages, TrainRequest};
 use echoimage_core::steering_cache;
 
 /// Worker threads for the pipeline under test (`ECHOIMAGE_THREADS`,
@@ -94,7 +101,11 @@ fn standalone(
 fn healthy_train_matches_standalone_calls() {
     let caps = train(3);
     let pipeline = EchoImagePipeline::new(config());
-    let (images, est) = pipeline.images_from_train(&caps).unwrap();
+    let TrainImages {
+        images,
+        estimate: est,
+        ..
+    } = pipeline.images(&TrainRequest::new(&caps)).unwrap();
     let (want, want_est) = standalone(&pipeline, pipeline.array(), &caps, &[]);
     assert_eq!(images.len(), 3);
     assert_estimates_bit_identical(&est, &want_est);
@@ -108,8 +119,17 @@ fn degraded_train_matches_standalone_calls_on_the_survivors() {
         .with_fault(4, ChannelFault::Dead)
         .apply_train(&caps);
     let pipeline = EchoImagePipeline::new(config());
-    let (images, est, health) = pipeline.images_from_train_degraded(&faulted).unwrap();
-    let healthy = health.healthy_indices();
+    let TrainImages {
+        images,
+        estimate: est,
+        health,
+    } = pipeline
+        .images(&TrainRequest {
+            screen: true,
+            ..TrainRequest::new(&faulted)
+        })
+        .unwrap();
+    let healthy = health.unwrap().healthy_indices();
     assert_eq!(healthy, vec![0, 1, 2, 3, 5], "dead mic 4 must be excised");
 
     let sub_caps: Vec<BeepCapture> = faulted
@@ -127,13 +147,101 @@ fn multi_plane_images_match_standalone_calls() {
     let caps = train(3);
     let offsets = [-0.05, 0.05];
     let pipeline = EchoImagePipeline::new(config());
-    let (images, est) = pipeline
-        .images_from_train_multi_plane(&caps, &offsets)
+    let TrainImages {
+        images,
+        estimate: est,
+        ..
+    } = pipeline
+        .images(&TrainRequest {
+            plane_offsets: &offsets,
+            ..TrainRequest::new(&caps)
+        })
         .unwrap();
     let (want, want_est) = standalone(&pipeline, pipeline.array(), &caps, &offsets);
     assert_eq!(images.len(), 9, "3 beeps × 3 planes, capture-major");
     assert_estimates_bit_identical(&est, &want_est);
     assert_images_bit_identical(&images, &want);
+}
+
+/// Two enrolment visits of two beeps each.
+fn enrollment_visits() -> Vec<Vec<BeepCapture>> {
+    let scene = Scene::new(SceneConfig::laboratory_quiet(17));
+    let body = BodyModel::from_seed(43);
+    let at = Placement::standing_front(0.7);
+    (0..2)
+        .map(|v| scene.capture_train(&body, &at, v, 2, 100 * v as u64))
+        .collect()
+}
+
+fn feature_bits(features: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    features
+        .iter()
+        .map(|f| f.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn enrollment_matches_stage_by_stage_oracle() {
+    let (visits, recipe) = (enrollment_visits(), EnrollmentConfig::default());
+    let pipeline = EchoImagePipeline::new(config());
+    let features = enrollment_features(&pipeline, &visits, &recipe).unwrap();
+
+    // Per visit: the standalone stage calls at every plane, then each
+    // image followed by its inverse-square copies; one feature batch.
+    let mut gathered = Vec::new();
+    for visit in &visits {
+        let (images, est) = standalone(&pipeline, pipeline.array(), visit, &recipe.plane_offsets);
+        let d = est.horizontal_distance;
+        let targets: Vec<f64> = recipe
+            .augment_offsets
+            .iter()
+            .map(|o| (d + o).max(0.2))
+            .collect();
+        for image in images {
+            let synth = augment_sweep(&image, &pipeline.config().imaging, d, &targets).unwrap();
+            gathered.push(image);
+            gathered.extend(synth);
+        }
+    }
+    assert_eq!(
+        features.len(),
+        2 * 2 * 3 * 3,
+        "visits × beeps × planes × (1 + 2)"
+    );
+    let want = pipeline.features_batch(&gathered);
+    assert!(
+        feature_bits(&features) == feature_bits(&want),
+        "feature bits diverged"
+    );
+}
+
+#[test]
+fn screened_enrollment_matches_enrollment_on_the_subset_pipeline() {
+    let plan = FaultPlan::new(5).with_fault(0, ChannelFault::Dead);
+    let visits: Vec<_> = enrollment_visits()
+        .iter()
+        .map(|v| plan.apply_train(v))
+        .collect();
+    let recipe = EnrollmentConfig::default();
+    let pipeline = EchoImagePipeline::new(config());
+    let request = EnrollRequest {
+        visits: &visits,
+        recipe: &recipe,
+        screen: true,
+        parent: None,
+    };
+    let (features, health) = enroll_features(&pipeline, &request).unwrap();
+    let healthy = health.unwrap().healthy_indices();
+    assert_eq!(healthy, vec![1, 2, 3, 4, 5], "dead mic 0 must be excised");
+
+    let select = |v: &Vec<BeepCapture>| v.iter().map(|c| c.select_channels(&healthy)).collect();
+    let sub_visits: Vec<Vec<BeepCapture>> = visits.iter().map(select).collect();
+    let sub_pipeline = EchoImagePipeline::with_array(config(), pipeline.array().subset(&healthy));
+    let want = enrollment_features(&sub_pipeline, &sub_visits, &recipe).unwrap();
+    assert!(
+        feature_bits(&features) == feature_bits(&want),
+        "feature bits diverged"
+    );
 }
 
 /// The imaging loop before the shared-signal rewrite, given the same

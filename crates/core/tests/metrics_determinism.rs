@@ -19,8 +19,9 @@ use std::sync::{Mutex, MutexGuard};
 use echo_sim::fault::{ChannelFault, FaultKind, FaultPlan};
 use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
-use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
-use echoimage_core::{steering_cache, template_cache};
+use echoimage_core::enrollment::{enroll_features, EnrollRequest, EnrollmentConfig};
+use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
+use echoimage_core::{steering_cache, template_cache, EchoImageError};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -51,6 +52,14 @@ fn config(threads: usize) -> PipelineConfig {
         },
         threads,
         ..PipelineConfig::default()
+    }
+}
+
+/// The health-screened route over `captures`.
+fn screened(captures: &[echo_sim::BeepCapture]) -> TrainRequest<'_> {
+    TrainRequest {
+        screen: true,
+        ..TrainRequest::new(captures)
     }
 }
 
@@ -197,9 +206,10 @@ fn degraded_path_counters_identical_across_thread_counts() {
     assert_eq!(prep.get("sim.fault_channels"), Some(&3));
     echo_obs::reset();
 
-    let (serial, health) = EchoImagePipeline::new(config(1))
-        .features_from_train_degraded(&caps)
-        .unwrap();
+    let serial_pipeline = EchoImagePipeline::new(config(1));
+    let train = serial_pipeline.images(&screened(&caps)).unwrap();
+    let serial = serial_pipeline.features_batch(&train.images);
+    let health = train.health.unwrap();
     assert!(!health.all_healthy(), "the dead channel must be flagged");
     let serial_metrics = deterministic_metrics();
 
@@ -208,9 +218,9 @@ fn degraded_path_counters_identical_across_thread_counts() {
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
 
-    let (pooled, _) = EchoImagePipeline::new(config(pool_threads()))
-        .features_from_train_degraded(&caps)
-        .unwrap();
+    let pooled_pipeline = EchoImagePipeline::new(config(pool_threads()));
+    let pooled =
+        pooled_pipeline.features_batch(&pooled_pipeline.images(&screened(&caps)).unwrap().images);
     let pooled_metrics = deterministic_metrics();
 
     assert_features_bit_identical(&serial, &pooled);
@@ -218,6 +228,52 @@ fn degraded_path_counters_identical_across_thread_counts() {
     assert_eq!(serial_metrics.get("degraded.activations"), Some(&1));
     assert_eq!(serial_metrics.get("health.trains_screened"), Some(&1));
     assert_eq!(serial_metrics.get("health.channels_excised"), Some(&1));
+}
+
+#[test]
+fn screened_enrolment_counts_excisions_and_rejections_like_auth() {
+    let _g = guard();
+    echo_obs::set_trace_enabled(true);
+    let pipeline = EchoImagePipeline::new(config(pool_threads()));
+    let recipe = EnrollmentConfig::default();
+    // Two visits with the `dead` microphones flatlined: a hardware
+    // fault, so every visit carries it.
+    let enrol = |dead: &[usize]| {
+        let plan = FaultPlan::uniform(FaultKind::Dead, 1.0, dead, 29);
+        let visits = vec![plan.apply_train(&capture_train(2)); 2];
+        echo_obs::reset();
+        echo_obs::reset_traces();
+        let request = EnrollRequest {
+            visits: &visits,
+            recipe: &recipe,
+            screen: true,
+            parent: None,
+        };
+        let outcome = enroll_features(&pipeline, &request).map(|_| ());
+        (outcome, deterministic_metrics())
+    };
+
+    // One dead microphone: one excision for the whole enrolment.
+    let (outcome, metrics) = enrol(&[0]);
+    assert_eq!(outcome, Ok(()));
+    assert_eq!(metrics.get("degraded.activations"), Some(&1), "{metrics:?}");
+
+    // Four dead leave two, below `min_mics`: a typed reject, counted and
+    // marked on the screen's span.
+    let (outcome, metrics) = enrol(&[0, 2, 3, 5]);
+    assert!(matches!(
+        outcome,
+        Err(EchoImageError::DegradedCapture { .. })
+    ));
+    assert_eq!(metrics.get("degraded.rejections"), Some(&1), "{metrics:?}");
+    let spans = echo_obs::take_spans();
+    echo_obs::set_trace_enabled(false);
+    let screen = spans.iter().find(|s| s.name == "stage.health_screen");
+    let rejected = ("rejected", echo_obs::trace::AttrValue::Bool(true));
+    assert!(
+        screen.is_some_and(|s| s.attrs.contains(&rejected)),
+        "{screen:?}"
+    );
 }
 
 #[test]

@@ -19,7 +19,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use echo_dsp::simd;
 use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
-use echoimage_core::auth::Authenticator;
+use echoimage_core::auth::{AuthAttempt, Authenticator};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
 use echoimage_core::{steering_cache, template_cache};
@@ -146,7 +146,7 @@ fn canonical_transcript() -> String {
     }
     let auth = Authenticator::enroll(&[(1, enroll_feats)], &Default::default()).expect("enroll");
     let decision = auth
-        .authenticate_train(&pipeline, &probe_train)
+        .authenticate_train(&pipeline, &probe_train, AuthAttempt::default())
         .expect("authenticate");
     out.push_str(&format!("decision={decision:?};"));
 

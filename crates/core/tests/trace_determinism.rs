@@ -19,7 +19,7 @@ use std::sync::{Mutex, MutexGuard};
 use echo_obs::SpanEvent;
 use echo_sim::fault::{ChannelFault, FaultKind, FaultPlan};
 use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
-use echoimage_core::auth::Authenticator;
+use echoimage_core::auth::{AuthAttempt, Authenticator};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
 use echoimage_core::{steering_cache, template_cache};
@@ -207,7 +207,9 @@ fn audit_records_identical_across_thread_counts() {
         echo_obs::reset();
         echo_obs::reset_traces();
         let pipeline = EchoImagePipeline::new(config(threads));
-        let decision = auth.authenticate_train(&pipeline, &faulted).unwrap();
+        let decision = auth
+            .authenticate_train(&pipeline, &faulted, AuthAttempt::default())
+            .unwrap();
         (decision, echo_obs::take_audits(), echo_obs::take_spans())
     };
     let (serial_decision, serial_audits, serial_spans) = run(1);

@@ -2,10 +2,7 @@
 //!
 //! The scene simulator places echoes at physically exact (non-integer)
 //! sample delays; these helpers read and write signals at fractional
-//! positions. Linear interpolation is the fast path; a windowed-sinc
-//! interpolator is available where band-limited accuracy matters.
-
-use std::f64::consts::PI;
+//! positions by linear interpolation.
 
 /// Reads `signal` at fractional index `t` by linear interpolation.
 /// Out-of-range positions return 0 (signals are zero outside support).
@@ -23,26 +20,6 @@ pub fn sample_linear(signal: &[f64], t: f64) -> f64 {
     }
     let frac = t - i as f64;
     signal[i] * (1.0 - frac) + signal[i + 1] * frac
-}
-
-/// Reads `signal` at fractional index `t` with a Hann-windowed sinc kernel
-/// of half-width `taps` (e.g. 8 → 16-point interpolation).
-pub fn sample_sinc(signal: &[f64], t: f64, taps: usize) -> f64 {
-    if !t.is_finite() || t < -(taps as f64) || t > signal.len() as f64 + taps as f64 {
-        return 0.0;
-    }
-    let center = t.floor() as isize;
-    let mut acc = 0.0;
-    let half = taps.max(1) as isize;
-    for k in (center - half + 1)..=(center + half) {
-        if k < 0 || k as usize >= signal.len() {
-            continue;
-        }
-        let x = t - k as f64;
-        let w = 0.5 + 0.5 * (PI * x / half as f64).cos(); // Hann taper
-        acc += signal[k as usize] * sinc(x) * w;
-    }
-    acc
 }
 
 /// Adds `source`, delayed by fractional `delay` samples and scaled by
@@ -69,16 +46,6 @@ pub fn add_delayed(dest: &mut [f64], source: &[f64], delay: f64, gain: f64) {
     }
 }
 
-/// Normalised sinc `sin(πx)/(πx)`.
-#[inline]
-pub fn sinc(x: f64) -> f64 {
-    if x.abs() < 1e-12 {
-        1.0
-    } else {
-        (PI * x).sin() / (PI * x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,38 +64,6 @@ mod tests {
         assert_eq!(sample_linear(&s, -0.1), 0.0);
         assert_eq!(sample_linear(&s, 5.0), 0.0);
         assert_eq!(sample_linear(&s, f64::NAN), 0.0);
-    }
-
-    #[test]
-    fn sinc_function_values() {
-        assert_eq!(sinc(0.0), 1.0);
-        assert!(sinc(1.0).abs() < 1e-12);
-        assert!(sinc(2.0).abs() < 1e-12);
-        assert!((sinc(0.5) - 2.0 / PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sinc_interpolation_recovers_bandlimited_signal() {
-        // A low-frequency sine sampled densely: sinc interp at half-sample
-        // offsets should match the true value well.
-        let n = 200;
-        let f = 0.02; // cycles per sample — far below Nyquist
-        let s: Vec<f64> = (0..n).map(|i| (2.0 * PI * f * i as f64).sin()).collect();
-        for i in (20..n - 20).step_by(13) {
-            let t = i as f64 + 0.5;
-            let truth = (2.0 * PI * f * t).sin();
-            let est = sample_sinc(&s, t, 8);
-            assert!((est - truth).abs() < 1e-3, "at {t}: {est} vs {truth}");
-        }
-    }
-
-    #[test]
-    fn sinc_at_integer_positions_is_exact() {
-        let s: Vec<f64> = (0..50).map(|i| (i as f64 * 0.1).sin()).collect();
-        for i in (10..40).step_by(7) {
-            let est = sample_sinc(&s, i as f64, 8);
-            assert!((est - s[i]).abs() < 1e-9);
-        }
     }
 
     #[test]

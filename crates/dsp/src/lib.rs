@@ -37,22 +37,17 @@
 //! assert_eq!(peak, 100);
 //! ```
 
-pub mod cfar;
 pub mod chirp;
 pub mod complex;
 pub mod correlate;
 pub mod fft;
 pub mod filter;
-pub mod fir;
 pub mod hilbert;
 pub mod interp;
 pub mod peaks;
 pub mod plan;
-pub mod resample;
 pub mod simd;
 pub mod stats;
-pub mod stft;
-pub mod window;
 
 pub use complex::Complex;
 pub use plan::{fft_plan, FftPlan, FftScratch};

@@ -9,7 +9,7 @@
 //! shares plans process-wide behind an [`Arc`].
 //!
 //! Planned transforms are **bit-identical** to the unplanned
-//! [`fft`]/[`ifft`]: the twiddle tables are generated by the very same
+//! [`fft`](crate::fft::fft)/[`ifft`](crate::fft::ifft): the twiddle tables are generated by the very same
 //! repeated-multiplication recurrence the unplanned loops run, the
 //! butterfly arithmetic is unchanged, and the Bluestein chirp/filter
 //! tables are the same values the per-call path derives. The
@@ -222,7 +222,7 @@ impl FftPlan {
         self.n <= 1
     }
 
-    /// In-place forward FFT (bit-identical to [`fft`]).
+    /// In-place forward FFT (bit-identical to [`crate::fft::fft`]).
     ///
     /// # Panics
     ///
@@ -231,7 +231,8 @@ impl FftPlan {
         self.fft_with(data, &mut FftScratch::new());
     }
 
-    /// In-place inverse FFT, `1/n`-normalised (bit-identical to [`ifft`]).
+    /// In-place inverse FFT, `1/n`-normalised (bit-identical to
+    /// [`crate::fft::ifft`]).
     ///
     /// # Panics
     ///

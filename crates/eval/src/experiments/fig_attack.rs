@@ -52,7 +52,7 @@ use crate::harness::{CaptureSpec, Harness};
 use crate::roc::{roc_curve, RocPoint};
 use echo_sim::{Placement, Population, RoomModel, SpoofAttack, SpoofKind, SpoofPlan};
 use echoimage_core::config::SpatialCheckConfig;
-use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
+use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 use echoimage_core::spatial::train_spread;
 use echoimage_core::{AuthDecision, EchoImageError};
 use rand::{Rng, SeedableRng};
@@ -416,7 +416,7 @@ pub fn run(config: &Config) -> Result<Output, EchoImageError> {
             let offset = TEST_BEEP_OFFSET + salt + p as u64 * 100;
             // Genuine probe.
             let caps = scene.capture_train(&body, &placement, 200 + p as u32, beeps, offset);
-            let (images, _) = harness.pipeline().images_from_train(&caps)?;
+            let images = harness.pipeline().images(&TrainRequest::new(&caps))?.images;
             if let Some(s) = train_spread(&config.spatial, &images) {
                 vg_spreads.push(s);
             }
@@ -440,7 +440,10 @@ pub fn run(config: &Config) -> Result<Output, EchoImageError> {
                 config.seed ^ (id << 8) ^ p as u64,
             );
             let attack = plan.capture_train(&scene, &placement, 400 + p as u32, beeps, offset + 29);
-            let (images, _) = harness.pipeline().images_from_train(&attack)?;
+            let images = harness
+                .pipeline()
+                .images(&TrainRequest::new(&attack))?
+                .images;
             if let Some(s) = train_spread(&config.spatial, &images) {
                 vr_spreads.push(s);
             }
@@ -469,7 +472,10 @@ pub fn run(config: &Config) -> Result<Output, EchoImageError> {
                 twin.target_gender = Some(profile.gender);
             }
             let attack = plan.capture_train(&scene, &placement, 500 + p as u32, beeps, offset + 43);
-            let (images, _) = harness.pipeline().images_from_train(&attack)?;
+            let images = harness
+                .pipeline()
+                .images(&TrainRequest::new(&attack))?
+                .images;
             for f in harness.pipeline().features_batch(&images) {
                 vt_scores.push(auth.gate_decision(&f));
             }

@@ -73,9 +73,7 @@ pub fn enroll(
     cfg: &ProtocolConfig,
 ) -> Result<Authenticator, EchoImageError> {
     use echo_sim::Placement;
-    use echoimage_core::enrollment::{
-        enrollment_features_degraded_traced, enrollment_features_traced, EnrollmentConfig,
-    };
+    use echoimage_core::enrollment::{enroll_features, EnrollRequest, EnrollmentConfig};
 
     let batch = cfg.enroll_batch.max(1);
     let recipe = EnrollmentConfig {
@@ -128,11 +126,13 @@ pub fn enroll(
         }
         // A faulted device enrols through the health screen, excising
         // its bad microphones just as authentication will.
-        let feats = if spec.faults.is_empty() {
-            enrollment_features_traced(uspan.ctx(), &worker, &visits, &recipe)?
-        } else {
-            enrollment_features_degraded_traced(uspan.ctx(), &worker, &visits, &recipe)?.0
+        let request = EnrollRequest {
+            visits: &visits,
+            recipe: &recipe,
+            screen: !spec.faults.is_empty(),
+            parent: Some(uspan.ctx()),
         };
+        let (feats, _) = enroll_features(&worker, &request)?;
         Ok((profile.id as usize, feats))
     });
     let failures = per_user.iter().filter(|r| r.is_err()).count();

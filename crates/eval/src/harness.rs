@@ -13,7 +13,7 @@ use echo_sim::{
     UserProfile,
 };
 use echoimage_core::par::parallel_map_indexed;
-use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
+use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 use echoimage_core::{DistanceEstimate, EchoImageError};
 use serde::{Deserialize, Serialize};
 
@@ -172,7 +172,15 @@ impl Harness {
         spec: &CaptureSpec,
     ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
         let captures = self.capture_train(body, spec);
-        Self::route_images(&self.pipeline, spec, &captures)
+        // Only specs with a non-empty fault plan pay for health
+        // screening; the clean path is exactly the pre-fault-layer
+        // behaviour.
+        let train = self.pipeline.images(&TrainRequest {
+            screen: !spec.faults.is_empty(),
+            parent: Some(TraceCtx::none()),
+            ..TrainRequest::new(&captures)
+        })?;
+        Ok((train.images, train.estimate))
     }
 
     /// Captures the spec's train with its fault plan applied.
@@ -204,33 +212,6 @@ impl Harness {
         }
     }
 
-    /// Routes a train through the normal or degraded imaging path. Only
-    /// specs with a non-empty fault plan pay for health screening; the
-    /// clean path is exactly the pre-fault-layer behaviour.
-    fn route_images(
-        pipeline: &EchoImagePipeline,
-        spec: &CaptureSpec,
-        captures: &[BeepCapture],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
-        Self::route_images_traced(TraceCtx::none(), pipeline, spec, captures)
-    }
-
-    /// [`Harness::route_images`] under an existing trace context.
-    fn route_images_traced(
-        ctx: TraceCtx,
-        pipeline: &EchoImagePipeline,
-        spec: &CaptureSpec,
-        captures: &[BeepCapture],
-    ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
-        if spec.faults.is_empty() {
-            pipeline.images_from_train_traced(ctx, captures)
-        } else {
-            pipeline
-                .images_from_train_degraded_traced(ctx, captures)
-                .map(|(images, est, _)| (images, est))
-        }
-    }
-
     /// Like [`Harness::images_for`], with extra images constructed at
     /// plane distances offset from the estimate (enrolment-time plane
     /// diversity).
@@ -245,14 +226,12 @@ impl Harness {
         plane_offsets: &[f64],
     ) -> Result<(Vec<GrayImage>, DistanceEstimate), EchoImageError> {
         let captures = self.capture_train(body, spec);
-        if spec.faults.is_empty() {
-            self.pipeline
-                .images_from_train_multi_plane(&captures, plane_offsets)
-        } else {
-            self.pipeline
-                .images_from_train_multi_plane_degraded(&captures, plane_offsets)
-                .map(|(images, est, _)| (images, est))
-        }
+        let train = self.pipeline.images(&TrainRequest {
+            plane_offsets,
+            screen: !spec.faults.is_empty(),
+            ..TrainRequest::new(&captures)
+        })?;
+        Ok((train.images, train.estimate))
     }
 
     /// Captures and converts straight to feature vectors.
@@ -311,10 +290,14 @@ impl Harness {
             jspan.attr_u64("user", profile.id as u64);
             jspan.attr_u64("session", spec.session as u64);
             let captures = self.capture_train_traced(jspan.ctx(), &profile.body(), spec);
-            let (images, _) = Self::route_images_traced(jspan.ctx(), &worker, spec, &captures)?;
+            let train = worker.images(&TrainRequest {
+                screen: !spec.faults.is_empty(),
+                parent: Some(jspan.ctx()),
+                ..TrainRequest::new(&captures)
+            })?;
             // Each job is already on a pool worker; extract its images
             // serially with one reused scratch (no nested fan-out).
-            Ok(worker.feature_extractor().extract_batch(&images))
+            Ok(worker.feature_extractor().extract_batch(&train.images))
         });
         let failures = results.iter().filter(|r| r.is_err()).count();
         echo_obs::counter!("eval.job_failures").add(failures as u64);

@@ -158,7 +158,7 @@ pub enum AttrValue {
 pub struct SpanEvent {
     /// Trace serial this span belongs to.
     pub trace: u64,
-    /// Derived span id (see [`derive_span_id`]); nonzero.
+    /// Derived span id (see `derive_span_id`); nonzero.
     pub span: u64,
     /// Parent span id, or 0 for the trace root.
     pub parent: u64,

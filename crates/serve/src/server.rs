@@ -8,7 +8,7 @@
 //!   frames, runs admission control, and drains response outboxes back
 //!   into the sockets. Because no other thread ever touches a socket,
 //!   response frames can never interleave mid-frame.
-//! * the **batcher thread** ([`crate::batcher`]) owns the model: it
+//! * the **batcher thread** (the private `batcher` module) owns the model: it
 //!   coalesces queued jobs into batched feature extraction and pushes
 //!   encoded responses into the outboxes.
 //!

@@ -93,11 +93,12 @@ type Step = (
 /// The `(package, suite)` pairs that must hold bit-for-bit across
 /// worker-thread counts and SIMD dispatch modes, mirrored by the CI
 /// determinism matrix.
-const DETERMINISM_SUITES: [(&str, &str); 8] = [
+const DETERMINISM_SUITES: [(&str, &str); 9] = [
     ("echoimage-core", "fault_injection"),
     ("echoimage-core", "feature_determinism"),
     ("echoimage-core", "imaging_parity"),
     ("echoimage-core", "metrics_determinism"),
+    ("echoimage-core", "route_shapes"),
     ("echoimage-core", "simd_dispatch"),
     ("echoimage-core", "spoof_audit"),
     ("echoimage-core", "trace_determinism"),
@@ -126,6 +127,13 @@ fn ci() {
                 "warnings",
             ],
             &[],
+        ),
+        // Every intra-doc link resolves, so a removed item cannot leave
+        // a dangling reference behind in the docs.
+        (
+            "rustdoc (deny warnings)",
+            &["doc", "--workspace", "--no-deps"],
+            &[("RUSTDOCFLAGS", "-D warnings")],
         ),
         ("release build", &["build", "--release", "--workspace"], &[]),
         ("tests", &["test", "-q", "--workspace"], &[]),

@@ -1,5 +1,5 @@
-//! Quality-side ablations of EchoImage's design choices (the runtime
-//! side lives in `crates/bench/benches/ablations.rs`):
+//! Quality-side ablations of EchoImage's design choices (per-stage
+//! runtime is measured by the `feature_bench` binary):
 //!
 //! * beamformed MVDR ranging vs a single microphone,
 //! * MVDR vs delay-and-sum imaging — does the image stay as

@@ -2,7 +2,7 @@
 //! when captures are saturated, silent, empty-scene or mis-steered.
 
 use echoimage::core::config::ImagingConfig;
-use echoimage::core::pipeline::{EchoImagePipeline, PipelineConfig};
+use echoimage::core::pipeline::{EchoImagePipeline, PipelineConfig, TrainImages, TrainRequest};
 use echoimage::core::EchoImageError;
 use echoimage::sim::{BeepCapture, BodyModel, Placement, Scene, SceneConfig};
 
@@ -95,9 +95,10 @@ fn dropped_beeps_in_a_train_are_tolerated() {
     let body = BodyModel::from_seed(16);
     let caps = scene.capture_train(&body, &Placement::standing_front(0.7), 0, 1, 0);
     let p = small_pipeline();
-    let (images, est) = p
-        .images_from_train(&caps)
+    let train = p
+        .images(&TrainRequest::new(&caps))
         .expect("single-beep train failed");
+    let (images, est) = (train.images, train.estimate);
     assert_eq!(images.len(), 1);
     assert!((est.horizontal_distance - 0.7).abs() < 0.3);
 }
@@ -114,8 +115,8 @@ fn extreme_noise_degrades_but_does_not_panic() {
     let body = BodyModel::from_seed(17);
     let caps = scene.capture_train(&body, &Placement::standing_front(0.7), 0, 4, 0);
     let p = small_pipeline();
-    match p.images_from_train(&caps) {
-        Ok((images, _)) => {
+    match p.images(&TrainRequest::new(&caps)) {
+        Ok(TrainImages { images, .. }) => {
             assert!(images
                 .iter()
                 .all(|i| i.pixels().iter().all(|v| v.is_finite())));
@@ -142,7 +143,10 @@ fn bystander_walking_past_does_not_break_the_pipeline() {
     let p = small_pipeline();
     // The user is much closer than the walker: ranging must still find
     // the user, and imaging must stay finite.
-    let (images, est) = p.images_from_train(&caps).expect("pipeline failed");
+    let train = p
+        .images(&TrainRequest::new(&caps))
+        .expect("pipeline failed");
+    let (images, est) = (train.images, train.estimate);
     assert!(
         (est.horizontal_distance - 0.7).abs() < 0.25,
         "estimate {} with a bystander",

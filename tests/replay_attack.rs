@@ -10,7 +10,7 @@
 use echo_array::Vec3;
 use echoimage::core::auth::{AuthConfig, Authenticator};
 use echoimage::core::config::ImagingConfig;
-use echoimage::core::pipeline::{EchoImagePipeline, PipelineConfig};
+use echoimage::core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 use echoimage::sim::{BodyModel, Placement, Scatterer, Scene, SceneConfig};
 
 fn small_pipeline() -> EchoImagePipeline {
@@ -47,10 +47,13 @@ fn enrol(scene: &Scene, pipeline: &EchoImagePipeline, body: &BodyModel) -> Authe
     let mut feats = Vec::new();
     for v in 0..3u32 {
         let caps = scene.capture_train(body, &placement, v, 4, v as u64 * 1_000);
-        let (images, _) = pipeline
-            .images_from_train_multi_plane(&caps, &[-0.03, 0.03])
+        let train = pipeline
+            .images(&TrainRequest {
+                plane_offsets: &[-0.03, 0.03],
+                ..TrainRequest::new(&caps)
+            })
             .expect("enrolment failed");
-        feats.extend(images.iter().map(|i| pipeline.features(i)));
+        feats.extend(train.images.iter().map(|i| pipeline.features(i)));
     }
     Authenticator::enroll(&[(1, feats)], &AuthConfig::default()).expect("enrol failed")
 }

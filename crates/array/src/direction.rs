@@ -13,7 +13,6 @@ use crate::geometry::Vec3;
 /// `u = [sin φ cos θ, sin φ sin θ, cos φ]`; the paper's propagation vector
 /// (Eq. 5) is `v = −u`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Direction {
     azimuth: f64,
     elevation: f64,

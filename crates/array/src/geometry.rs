@@ -6,7 +6,6 @@
 /// centre sits at the origin in the x–o–z plane; the user stands along +y;
 /// +z points up.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec3 {
     /// x component (metres).
     pub x: f64,
@@ -120,7 +119,6 @@ impl std::ops::Neg for Vec3 {
 /// assert!((arr.min_spacing() - 0.05).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MicArray {
     positions: Vec<Vec3>,
 }

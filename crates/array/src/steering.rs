@@ -16,13 +16,6 @@ impl MicArray {
         -u.dot(self.position(m)) / speed_of_sound
     }
 
-    /// All per-microphone arrival offsets for a look direction, seconds.
-    pub fn tdoas(&self, dir: Direction, speed_of_sound: f64) -> Vec<f64> {
-        (0..self.len())
-            .map(|m| self.tdoa(m, dir, speed_of_sound))
-            .collect()
-    }
-
     /// Narrowband steering vector at centre frequency `f0` Hz (the `p_s`
     /// of paper Eq. 8): `a_m(Ω) = e^{−j ω₀ τ_m(Ω)}`.
     ///

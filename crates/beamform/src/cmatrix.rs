@@ -20,7 +20,6 @@ use echo_dsp::Complex;
 /// assert_eq!(inv.get(1, 1), Complex::ONE);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CMatrix {
     rows: usize,
     cols: usize,

@@ -22,7 +22,6 @@ use echo_dsp::Complex;
 /// assert_eq!(cov.matrix().rows(), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpatialCovariance {
     matrix: CMatrix,
 }
@@ -109,11 +108,6 @@ impl SpatialCovariance {
         }
         r.add_diagonal(loading.max(0.0));
         SpatialCovariance { matrix: r }
-    }
-
-    /// Like [`SpatialCovariance::from_snapshots`] with the default loading.
-    pub fn from_snapshots_default(channels: &[Vec<Complex>]) -> Self {
-        Self::from_snapshots(channels, DEFAULT_LOADING)
     }
 
     /// The underlying matrix.

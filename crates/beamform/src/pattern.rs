@@ -31,7 +31,6 @@ pub fn response(
 
 /// An azimuth sweep of the beam pattern at fixed elevation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeamPattern {
     /// Azimuth samples, radians.
     pub azimuths: Vec<f64>,

@@ -25,7 +25,6 @@ use std::time::Instant;
 
 /// How the spoofer gate is trained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GateMode {
     /// One SVDD per enrolled user; accept if any accepts (default).
     #[default]
@@ -37,7 +36,6 @@ pub enum GateMode {
 
 /// Classifier hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AuthConfig {
     /// One-class SVM ν (upper bound on the enrolment outlier fraction).
     pub nu: f64,
@@ -62,7 +60,6 @@ impl Default for AuthConfig {
 
 /// The outcome of one authentication attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AuthDecision {
     /// The sample passed the spoofer gate and was attributed to a
     /// registered user.
@@ -339,34 +336,6 @@ impl Authenticator {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Authenticates a whole raw beep train through the degraded-capable
-    /// pipeline: the train is health-screened, imaged from the surviving
-    /// microphones, each beep's features are authenticated, and the
-    /// per-beep decisions are majority-voted (a strict majority of beeps
-    /// must accept the *same* user). Mints an `auth.train` trace root and
-    /// records one [`AuthAudit`] carrying `attempt`.
-    ///
-    /// # Errors
-    ///
-    /// * [`EchoImageError::DegradedCapture`] — too few healthy
-    ///   microphones survived screening; retry with a fresh train (see
-    ///   [`Authenticator::authenticate_train_with_retry`]).
-    /// * Everything [`EchoImagePipeline::images`] can return, and
-    ///   [`EchoImageError::InvalidParameter`] when the features disagree
-    ///   with the enrolled dimensionality.
-    ///
-    /// Every error still records an audit with a non-empty reject
-    /// reason.
-    pub fn authenticate_train(
-        &self,
-        pipeline: &EchoImagePipeline,
-        captures: &[BeepCapture],
-        attempt: AuthAttempt,
-    ) -> Result<AuthDecision, EchoImageError> {
-        let root = echo_obs::root_span("auth.train");
-        self.authenticate_train_at(root.ctx(), pipeline, captures, attempt)
-    }
-
     /// [`Authenticator::authenticate_train`] with the claimed subject
     /// recorded in the audit log — the variant experiment harnesses use,
     /// since they know ground truth.
@@ -390,21 +359,38 @@ impl Authenticator {
         )
     }
 
-    /// The train-authentication body under `ctx`: pipeline, per-beep
-    /// scoring, majority vote, audit record. Records a `stage.auth` span
-    /// (child `lidx` = the retry index). Latency lands in the
-    /// `stage.auth` histogram, and additionally in `stage.auth_degraded`
-    /// when the train went through the degraded route (channels excised
-    /// *or* the capture rejected as degraded), so degraded-path latency
-    /// has the same coverage as the happy path.
-    fn authenticate_train_at(
+    /// Authenticates a whole raw beep train through the degraded-capable
+    /// pipeline: the train is health-screened, imaged from the surviving
+    /// microphones, each beep's features are authenticated, and the
+    /// per-beep decisions are majority-voted (a strict majority of beeps
+    /// must accept the *same* user). Mints an `auth.train` trace root and
+    /// records one [`AuthAudit`] carrying `attempt`.
+    ///
+    /// Records a `stage.auth` span (child `lidx` = the retry index).
+    /// Latency lands in the `stage.auth` histogram, and additionally in
+    /// `stage.auth_degraded` when the train went through the degraded
+    /// route (channels excised *or* the capture rejected as degraded),
+    /// so degraded-path latency has the same coverage as the happy path.
+    ///
+    /// # Errors
+    ///
+    /// * [`EchoImageError::DegradedCapture`] — too few healthy
+    ///   microphones survived screening; the caller may re-beep and
+    ///   try a fresh train with the next [`AuthAttempt::retry_index`].
+    /// * Everything [`EchoImagePipeline::images`] can return, and
+    ///   [`EchoImageError::InvalidParameter`] when the features disagree
+    ///   with the enrolled dimensionality.
+    ///
+    /// Every error still records an audit with a non-empty reject
+    /// reason.
+    pub fn authenticate_train(
         &self,
-        ctx: TraceCtx,
         pipeline: &EchoImagePipeline,
         captures: &[BeepCapture],
         attempt: AuthAttempt,
     ) -> Result<AuthDecision, EchoImageError> {
-        let mut tspan = ctx.child_at("stage.auth", attempt.retry_index);
+        let root = echo_obs::root_span("auth.train");
+        let mut tspan = root.ctx().child_at("stage.auth", attempt.retry_index);
         let ctx = tspan.ctx();
         let started = echo_obs::is_enabled().then(Instant::now);
         echo_obs::counter!("auth.train_attempts").inc();
@@ -618,58 +604,6 @@ impl Authenticator {
         Ok(decision)
     }
 
-    /// [`Authenticator::authenticate_train`] with retry-on-degraded
-    /// semantics: `provider(attempt)` supplies a fresh raw train for
-    /// each attempt (attempt numbers start at 0), and only
-    /// [`EchoImageError::DegradedCapture`] triggers a retry — any other
-    /// error, and any decision, returns immediately. A smart speaker
-    /// would re-beep here; the eval harness re-captures.
-    ///
-    /// # Errors
-    ///
-    /// The last [`EchoImageError::DegradedCapture`] once
-    /// [`RetryPolicy::max_attempts`] trains have all been rejected as
-    /// degraded, or the first non-degraded error.
-    pub fn authenticate_train_with_retry<F>(
-        &self,
-        pipeline: &EchoImagePipeline,
-        policy: &RetryPolicy,
-        mut provider: F,
-    ) -> Result<AuthDecision, EchoImageError>
-    where
-        F: FnMut(usize) -> Vec<BeepCapture>,
-    {
-        let root = echo_obs::root_span("auth.attempt");
-        let ctx = root.ctx();
-        let attempts = policy.max_attempts.max(1);
-        let mut last = EchoImageError::DegradedCapture {
-            healthy: 0,
-            required: 0,
-            mask: 0,
-        };
-        for attempt in 0..attempts {
-            let _retry_span = (attempt > 0).then(|| {
-                echo_obs::counter!("auth.retries").inc();
-                echo_obs::span!("stage.auth_retry")
-            });
-            let captures = provider(attempt);
-            let outcome = self.authenticate_train_at(
-                ctx,
-                pipeline,
-                &captures,
-                AuthAttempt {
-                    claimed_user: None,
-                    retry_index: attempt as u64,
-                },
-            );
-            match outcome {
-                Err(e @ EchoImageError::DegradedCapture { .. }) => last = e,
-                other => return other,
-            }
-        }
-        Err(last)
-    }
-
     /// The fitted feature scaler, for exporting the model into the
     /// template store (which freezes it across incremental enrolments).
     pub fn scaler(&self) -> &StandardScaler {
@@ -722,26 +656,6 @@ fn attempt_audit(
         reject_kind: RejectKind::CaptureScreen,
         reject_reason: String::new(),
         spatial_coherence,
-    }
-}
-
-/// How many beep trains an authentication attempt may consume before a
-/// degraded capture becomes a hard rejection.
-///
-/// Only [`EchoImageError::DegradedCapture`] is retried — a capture with
-/// too few healthy microphones is a transient hardware/occlusion
-/// condition worth one more beep, whereas every other error is
-/// deterministic and would fail identically on retry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct RetryPolicy {
-    /// Total trains attempted, including the first (minimum 1).
-    pub max_attempts: usize,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 2 }
     }
 }
 
@@ -1023,11 +937,6 @@ mod tests {
         ];
         let err = Authenticator::enroll(&ragged, &AuthConfig::default()).unwrap_err();
         assert!(matches!(err, EchoImageError::InvalidParameter(_)));
-    }
-
-    #[test]
-    fn retry_policy_defaults_to_one_retry() {
-        assert_eq!(RetryPolicy::default().max_attempts, 2);
     }
 
     #[test]

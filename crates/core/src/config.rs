@@ -10,7 +10,6 @@ use echo_dsp::chirp::LfmChirp;
 /// transducers, short enough to bound multipath smearing) and a 0.5 s
 /// interval (echoes die out within ~0.3 s).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeepConfig {
     /// Band start, Hz.
     pub f_start: f64,
@@ -60,7 +59,6 @@ impl Default for BeepConfig {
 
 /// Distance-estimation parameters (paper §V-B).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistanceConfig {
     /// Steered azimuth θ; the paper uses π/2 (straight ahead).
     pub azimuth: f64,
@@ -136,7 +134,6 @@ impl Default for DistanceConfig {
 /// full evaluation runs on one CPU core. The paper-scale grid is
 /// available via [`ImagingConfig::paper_full`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ImagingConfig {
     /// Grid cells per side (image is `grid_n × grid_n`).
     pub grid_n: usize,
@@ -150,7 +147,6 @@ pub struct ImagingConfig {
 
 /// Which beamformer scans the imaging plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BeamformerKind {
     /// Minimum-variance distortionless response (the paper's design).
     Mvdr,
@@ -196,7 +192,6 @@ impl Default for ImagingConfig {
 
 /// How the MVDR noise covariance `ρ_n` is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CovarianceMode {
     /// Model-based spherically isotropic diffuse-field coherence at the
     /// beep centre frequency (deterministic superdirective weights — the
@@ -220,7 +215,6 @@ pub enum CovarianceMode {
 /// evaluation (`fig_attack`), the spoof audit suite, and the CI
 /// spoof-gate all switch it on explicitly.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpatialCheckConfig {
     /// Run the screen at all.
     pub enabled: bool,
@@ -246,7 +240,6 @@ impl Default for SpatialCheckConfig {
 
 /// Full pipeline configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PipelineConfig {
     /// Probing-beep parameters.
     pub beep: BeepConfig,

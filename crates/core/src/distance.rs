@@ -30,7 +30,6 @@ use echo_sim::BeepCapture;
 
 /// The result of distance estimation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistanceEstimate {
     /// Slant distance `D_f` from the array to the steered body patch,
     /// metres.

@@ -23,7 +23,6 @@ use echo_sim::BeepCapture;
 
 /// Tunables of the enrolment recipe.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnrollmentConfig {
     /// Plane-distance offsets for re-imaging each capture, metres.
     pub plane_offsets: Vec<f64>,

@@ -35,12 +35,6 @@ impl ImageFeatures {
         }
     }
 
-    /// Uses a custom extractor (e.g. a different seed or architecture
-    /// for ablations).
-    pub fn with_extractor(extractor: FeatureExtractor) -> Self {
-        ImageFeatures { extractor }
-    }
-
     /// Length of the extracted feature vector.
     pub fn feature_len(&self) -> usize {
         self.extractor.feature_len()

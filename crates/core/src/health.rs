@@ -25,7 +25,6 @@ use echo_sim::BeepCapture;
 
 /// Per-channel screening statistics.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelStats {
     /// AC energy `Σ (x − mean)²` over the whole window.
     pub energy: f64,
@@ -41,7 +40,6 @@ pub struct ChannelStats {
 
 /// Why a channel was excluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChannelFlaw {
     /// Energy far below the median channel (dead or disconnected).
     LowEnergy,
@@ -55,7 +53,6 @@ pub enum ChannelFlaw {
 
 /// Screening thresholds.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HealthConfig {
     /// Fewest healthy microphones degraded-mode imaging will accept
     /// before rejecting the capture with

@@ -57,7 +57,7 @@ pub mod steering_cache;
 pub mod store;
 pub mod template_cache;
 
-pub use auth::{AuthDecision, Authenticator, RetryPolicy};
+pub use auth::{AuthDecision, Authenticator};
 pub use config::{BeepConfig, ImagingConfig, PipelineConfig};
 pub use distance::DistanceEstimate;
 pub use error::EchoImageError;

@@ -389,15 +389,6 @@ impl Writer {
         self.buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Patches a previously written `u32` in place (header back-fill).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `off + 4` exceeds the buffer.
-    pub fn patch_u32(&mut self, off: usize, v: u32) {
-        self.buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
     /// Consumes the writer, appending the FNV-1a trailer over everything
     /// written so far.
     pub fn finish(mut self) -> Vec<u8> {

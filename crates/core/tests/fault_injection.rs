@@ -19,7 +19,7 @@ use echoimage_core::config::ImagingConfig;
 use echoimage_core::enrollment::{enroll_features, EnrollRequest, EnrollmentConfig};
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 use echoimage_core::{
-    AuthDecision, Authenticator, ChannelHealth, DistanceEstimate, EchoImageError, RetryPolicy,
+    AuthDecision, Authenticator, ChannelHealth, DistanceEstimate, EchoImageError,
 };
 
 /// Worker threads for the pipeline under test (`ECHOIMAGE_THREADS`,
@@ -225,49 +225,4 @@ fn too_many_dead_mics_reject_with_counts() {
             mask: 0b10_1101
         }
     );
-}
-
-#[test]
-fn retry_recovers_when_a_later_train_is_clean() {
-    // Enrol with the production recipe (plane diversity + augmentation)
-    // so a fresh clean train authenticates; a bare single-plane cloud
-    // is too tight for majority voting on unseen probes.
-    let pipeline = EchoImagePipeline::new(config(pool_threads()));
-    let scene = Scene::new(SceneConfig::laboratory_quiet(59));
-    let body = BodyModel::from_seed(67);
-    let visits: Vec<_> = (0..3u32)
-        .map(|v| scene.capture_train(&body, &Placement::standing_front(0.7), v, 3, v as u64 * 500))
-        .collect();
-    let enroll_feats = echoimage_core::enrollment::enrollment_features(
-        &pipeline,
-        &visits,
-        &echoimage_core::enrollment::EnrollmentConfig::default(),
-    )
-    .unwrap();
-    let auth = Authenticator::enroll(&[(1, enroll_feats)], &Default::default()).unwrap();
-
-    let dead4 = FaultPlan::uniform(FaultKind::Dead, 1.0, &[0, 1, 2, 3], 31);
-    let mut attempts_seen = 0usize;
-    let decision = auth
-        .authenticate_train_with_retry(&pipeline, &RetryPolicy::default(), |attempt| {
-            attempts_seen += 1;
-            let caps = train(59, 67, 3, 9_000 + attempt as u64);
-            if attempt == 0 {
-                dead4.apply_train(&caps)
-            } else {
-                caps
-            }
-        })
-        .unwrap();
-    assert_eq!(attempts_seen, 2, "first attempt must have been retried");
-    assert_eq!(decision, AuthDecision::Accepted { user_id: 1 });
-
-    // Permanently degraded hardware exhausts the policy and surfaces
-    // the last typed error.
-    let err = auth
-        .authenticate_train_with_retry(&pipeline, &RetryPolicy { max_attempts: 3 }, |attempt| {
-            dead4.apply_train(&train(59, 67, 2, 12_000 + attempt as u64))
-        })
-        .unwrap_err();
-    assert!(matches!(err, EchoImageError::DegradedCapture { .. }));
 }

@@ -24,7 +24,6 @@ use std::f64::consts::PI;
 /// assert_eq!(beep.center_frequency(), 2_500.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LfmChirp {
     f_start: f64,
     f_end: f64,
@@ -166,7 +165,6 @@ impl LfmChirp {
 /// The paper probes with one chirp every `interval` seconds (§V-A uses
 /// 0.5 s) so that echoes from one beep die out before the next.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeepTrain {
     chirp: LfmChirp,
     interval: f64,

@@ -15,7 +15,6 @@ use crate::complex::Complex;
 ///
 /// implemented in transposed direct form II.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Biquad {
     /// Feed-forward coefficients.
     pub b0: f64,
@@ -72,10 +71,8 @@ impl Biquad {
 /// assert!(stopband < 1e-3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SosFilter {
     sections: Vec<Biquad>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     state: Vec<[f64; 2]>,
 }
 

@@ -107,12 +107,6 @@ pub fn envelope(signal: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Envelope smoothed by a centred moving average of width `window`
-/// (clamped to odd and at least 1).
-pub fn smoothed_envelope(signal: &[f64], window: usize) -> Vec<f64> {
-    moving_average(&envelope(signal), window)
-}
-
 /// Centred moving average. Edges use the available (shorter) window.
 pub fn moving_average(signal: &[f64], window: usize) -> Vec<f64> {
     let w = window.max(1);

@@ -13,7 +13,6 @@ use crate::simd;
 
 /// A detected local maximum.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Peak {
     /// Sample index of the maximum (the paper's τ_w).
     pub index: usize,

@@ -14,10 +14,9 @@ use echo_sim::{Placement, Population};
 use echoimage_core::auth::{AuthConfig, Authenticator, GateMode};
 use echoimage_core::enrollment::{enrollment_features, EnrollmentConfig};
 use echoimage_core::EchoImageError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the classifier ablations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -50,7 +49,7 @@ impl Default for Config {
 }
 
 /// Results of the ablations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Attribution accuracy of the one-vs-one SVM on CNN features.
     pub svm_accuracy: f64,
@@ -64,14 +63,27 @@ pub struct Output {
     pub pooled_gate: GateResult,
 }
 
+echo_obs::json_object!(Output {
+    svm_accuracy,
+    knn_accuracy,
+    pca_accuracy,
+    per_user_gate,
+    pooled_gate
+});
+
 /// Gate-ablation cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateResult {
     /// Fraction of genuine probes accepted as themselves.
     pub genuine_accept: f64,
     /// Fraction of spoofer probes rejected.
     pub spoofer_reject: f64,
 }
+
+echo_obs::json_object!(GateResult {
+    genuine_accept,
+    spoofer_reject
+});
 
 /// Runs the ablations.
 ///

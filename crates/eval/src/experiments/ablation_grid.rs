@@ -10,10 +10,9 @@ use crate::experiments::protocol::{enroll, evaluate, ProtocolConfig};
 use crate::harness::{CaptureSpec, Harness};
 use crate::metrics::AuthMetrics;
 use echoimage_core::config::{ImagingConfig, PipelineConfig};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the grid sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -45,7 +44,7 @@ impl Default for Config {
 }
 
 /// One sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Cells per side.
     pub grid_n: usize,
@@ -57,12 +56,21 @@ pub struct Point {
     pub ms_per_image: f64,
 }
 
+echo_obs::json_object!(Point {
+    grid_n,
+    grid_spacing,
+    metrics,
+    ms_per_image
+});
+
 /// Results of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Points ordered by grid size.
     pub points: Vec<Point>,
 }
+
+echo_obs::json_object!(Output { points });
 
 /// Runs the sweep.
 ///

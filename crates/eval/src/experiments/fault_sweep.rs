@@ -20,10 +20,9 @@ use crate::harness::{CaptureSpec, Harness};
 use crate::roc::roc_curve;
 use echo_sim::{FaultKind, FaultPlan, UserProfile};
 use echoimage_core::{Authenticator, EchoImageError};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the fault sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -61,7 +60,7 @@ impl Default for Config {
 }
 
 /// One sweep point: a fault condition and the gate quality under it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Fault kind injected into the probes.
     pub kind: FaultKind,
@@ -83,8 +82,19 @@ pub struct Point {
     pub impostor_scores: usize,
 }
 
+echo_obs::json_object!(Point {
+    kind,
+    severity,
+    faulted_mics,
+    eer,
+    auc,
+    degraded_rejects,
+    genuine_scores,
+    impostor_scores
+});
+
 /// Results of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Gate EER with no faults injected (same probes, empty plan).
     pub baseline_eer: f64,
@@ -96,13 +106,20 @@ pub struct Output {
     pub audit: AuditSummary,
 }
 
+echo_obs::json_object!(Output {
+    baseline_eer,
+    baseline_auc,
+    points,
+    audit
+});
+
 /// Summary of the per-decision audit records from the audit pass: one
 /// full `authenticate_train` per registered user through a dead-mic-0
 /// device, plus one probe with *every* microphone dead (a guaranteed
 /// degraded-capture rejection). The pass asserts the flight-recorder
 /// contract — every rejected attempt carries a non-empty reject reason
 /// and a degraded-channel mask covering the injected fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditSummary {
     /// Audit records drained after the pass (one per attempt).
     pub attempts: usize,
@@ -113,6 +130,13 @@ pub struct AuditSummary {
     /// Rejections whose degraded mask contains every injected-fault bit.
     pub rejected_with_injected_mask: usize,
 }
+
+echo_obs::json_object!(AuditSummary {
+    attempts,
+    rejected,
+    rejected_with_reason,
+    rejected_with_injected_mask
+});
 
 /// Gate scores of every probe under `plan`: `(genuine, impostor,
 /// rejects)`.

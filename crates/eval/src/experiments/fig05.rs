@@ -11,10 +11,9 @@ use echo_sim::{EnvironmentKind, Placement};
 use echo_sim::{NoiseKind, Population};
 use echoimage_core::distance::estimate_distance;
 use echoimage_core::EchoImageError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the feasibility study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -35,7 +34,7 @@ impl Default for Config {
 }
 
 /// A detected envelope peak, relative to the envelope maximum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvelopePeak {
     /// Time in seconds from the start of the capture.
     pub time: f64,
@@ -43,8 +42,13 @@ pub struct EnvelopePeak {
     pub relative_value: f64,
 }
 
+echo_obs::json_object!(EnvelopePeak {
+    time,
+    relative_value
+});
+
 /// Results of the feasibility study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Ground-truth horizontal distance, metres.
     pub true_distance: f64,
@@ -65,6 +69,18 @@ pub struct Output {
     /// Decimation factor applied to the envelope.
     pub envelope_decimation: usize,
 }
+
+echo_obs::json_object!(Output {
+    true_distance,
+    slant_distance,
+    horizontal_distance,
+    error,
+    direct_peak_time,
+    echo_peak_time,
+    peaks,
+    envelope,
+    envelope_decimation
+});
 
 /// Runs the feasibility study.
 ///

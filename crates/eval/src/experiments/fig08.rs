@@ -10,10 +10,9 @@ use crate::harness::{CaptureSpec, Harness};
 use echo_ml::GrayImage;
 use echo_sim::Population;
 use echoimage_core::EchoImageError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the imaging feasibility study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -34,7 +33,7 @@ impl Default for Config {
 }
 
 /// Results of the imaging feasibility study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Mean same-user image similarity (user A beep 1 vs beep 2, same
     /// for user B).
@@ -48,6 +47,14 @@ pub struct Output {
     /// User B's first acoustic image, min–max normalised, row-major.
     pub image_b: Vec<f64>,
 }
+
+echo_obs::json_object!(Output {
+    same_user_similarity,
+    cross_user_similarity,
+    grid_n,
+    image_a,
+    image_b
+});
 
 /// Runs the study.
 ///

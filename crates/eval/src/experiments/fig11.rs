@@ -9,10 +9,9 @@ use crate::harness::{CaptureSpec, Harness};
 use crate::metrics::{AuthMetrics, ConfusionMatrix};
 use echo_sim::Population;
 use echoimage_core::EchoImageError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the overall-performance experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Seed for the simulated population and scenes.
     pub seed: u64,
@@ -30,7 +29,7 @@ impl Default for Config {
 }
 
 /// Results of the overall-performance experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Full confusion matrix (12 users + spoofer class).
     pub confusion: ConfusionMatrix,
@@ -43,6 +42,13 @@ pub struct Output {
     /// "accuracy in spoofer detection").
     pub spoofer_detection: f64,
 }
+
+echo_obs::json_object!(Output {
+    confusion,
+    metrics,
+    user_identification,
+    spoofer_detection
+});
 
 /// Runs the experiment: Table I population, 12 registered + 8 spoofers,
 /// quiet laboratory, 0.7 m, train session 1, test sessions 1 and 3.

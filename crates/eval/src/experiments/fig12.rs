@@ -11,10 +11,9 @@ use crate::harness::{CaptureSpec, Harness};
 use crate::metrics::AuthMetrics;
 use echo_sim::{EnvironmentKind, NoiseKind, Population};
 use echoimage_core::EchoImageError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the environments experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -43,7 +42,7 @@ impl Default for Config {
 }
 
 /// Metrics for one environment × noise cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Environment label.
     pub environment: String,
@@ -53,12 +52,20 @@ pub struct Cell {
     pub metrics: AuthMetrics,
 }
 
+echo_obs::json_object!(Cell {
+    environment,
+    noise,
+    metrics
+});
+
 /// Results of the environments experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// One cell per environment × noise condition, in paper order.
     pub cells: Vec<Cell>,
 }
+
+echo_obs::json_object!(Output { cells });
 
 impl Output {
     /// Looks up a cell.

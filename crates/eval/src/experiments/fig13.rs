@@ -9,10 +9,9 @@ use crate::harness::{CaptureSpec, Harness};
 use crate::metrics::AuthMetrics;
 use echo_sim::{EnvironmentKind, NoiseKind, Population};
 use echoimage_core::EchoImageError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the distance sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -47,7 +46,7 @@ impl Default for Config {
 }
 
 /// One point of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// User–array distance, metres.
     pub distance: f64,
@@ -57,12 +56,20 @@ pub struct Point {
     pub metrics: AuthMetrics,
 }
 
+echo_obs::json_object!(Point {
+    distance,
+    noise,
+    metrics
+});
+
 /// Results of the distance sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Points ordered by noise, then distance.
     pub points: Vec<Point>,
 }
+
+echo_obs::json_object!(Output { points });
 
 impl Output {
     /// The F-measure series for one noise condition, ordered by distance.

@@ -14,10 +14,9 @@ use echo_sim::{EnvironmentKind, NoiseKind, Population, UserProfile};
 use echoimage_core::augment::augment_sweep;
 use echoimage_core::auth::{AuthConfig, Authenticator};
 use echoimage_core::EchoImageError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the augmentation experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -53,7 +52,7 @@ impl Default for Config {
 }
 
 /// Metrics for one training-set size, with and without augmentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Training beeps per user.
     pub train_beeps: usize,
@@ -63,12 +62,20 @@ pub struct Point {
     pub with: AuthMetrics,
 }
 
+echo_obs::json_object!(Point {
+    train_beeps,
+    without,
+    with
+});
+
 /// Results of the augmentation experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// One point per training-set size, ascending.
     pub points: Vec<Point>,
 }
+
+echo_obs::json_object!(Output { points });
 
 /// Runs the experiment.
 ///

@@ -57,10 +57,9 @@ use echoimage_core::spatial::train_spread;
 use echoimage_core::{AuthDecision, EchoImageError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the attack evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -115,7 +114,7 @@ impl Default for Config {
 }
 
 /// Raw counts from the end-to-end acoustic tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcousticTier {
     /// Victims probed.
     pub victims: usize,
@@ -140,8 +139,21 @@ pub struct AcousticTier {
     pub replay_spread_mean: f64,
 }
 
+echo_obs::json_object!(AcousticTier {
+    victims,
+    genuine_trains,
+    genuine_rejects,
+    replay_attempts,
+    replay_accepts_unscreened,
+    replay_accepts_screened,
+    twin_attempts,
+    twin_accepts,
+    genuine_spread_mean,
+    replay_spread_mean
+});
+
 /// A fitted score channel: within-subject and between-subject moments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Channel {
     /// Grand mean of the measured samples.
     pub mean: f64,
@@ -151,8 +163,14 @@ pub struct Channel {
     pub between_sd: f64,
 }
 
+echo_obs::json_object!(Channel {
+    mean,
+    sd,
+    between_sd
+});
+
 /// One attack family's population-scale trade-off curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackCurve {
     /// Attack family.
     pub kind: SpoofKind,
@@ -176,8 +194,20 @@ pub struct AttackCurve {
     pub points: Vec<RocPoint>,
 }
 
+echo_obs::json_object!(AttackCurve {
+    kind,
+    channel,
+    population,
+    eer,
+    auc,
+    operating_threshold,
+    asr_at_operating_point,
+    frr_at_operating_point,
+    points
+});
+
 /// Flight-recorder contract counts from the audit pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditSummary {
     /// Audit records drained (one per screened/unscreened attempt).
     pub attempts: usize,
@@ -193,8 +223,16 @@ pub struct AuditSummary {
     pub twin_rejects_typed: usize,
 }
 
+echo_obs::json_object!(AuditSummary {
+    attempts,
+    replay_rejects,
+    replay_rejects_with_signature,
+    twin_rejects,
+    twin_rejects_typed
+});
+
 /// Results of the attack evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// End-to-end acoustic-tier counts.
     pub acoustic: AcousticTier,
@@ -215,6 +253,15 @@ pub struct Output {
     /// The screen's spread ceiling in force.
     pub spread_ceiling: f64,
 }
+
+echo_obs::json_object!(Output {
+    acoustic,
+    calibration,
+    curves,
+    replay_combined_asr,
+    audit,
+    spread_ceiling
+});
 
 /// What each screened authentication in the acoustic tier was, in call
 /// order — used to pair drained audit records with their attempt.

@@ -12,13 +12,12 @@ use echo_sim::UserProfile;
 use echoimage_core::auth::{AuthConfig, Authenticator};
 use echoimage_core::par::parallel_map_indexed;
 use echoimage_core::EchoImageError;
-use serde::{Deserialize, Serialize};
 
 /// Beep-index offset separating test draws from training draws.
 pub const TEST_BEEP_OFFSET: u64 = 100_000;
 
 /// Counts and hyper-parameters of one enrol/test run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
     /// Beeps per user used for enrolment (paper: 200).
     pub train_beeps: usize,

@@ -8,10 +8,9 @@
 use crate::experiments::protocol::{enroll, evaluate, ProtocolConfig};
 use crate::harness::{CaptureSpec, Harness};
 use crate::metrics::AuthMetrics;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the imperfection sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Scene/population seed.
     pub seed: u64,
@@ -46,7 +45,7 @@ impl Default for Config {
 }
 
 /// One sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Gain mismatch std, dB.
     pub gain_error_db: f64,
@@ -56,14 +55,25 @@ pub struct Point {
     pub metrics: AuthMetrics,
 }
 
+echo_obs::json_object!(Point {
+    gain_error_db,
+    timing_error,
+    metrics
+});
+
 /// Results of the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Gain sweep (timing fixed at 0).
     pub gain_sweep: Vec<Point>,
     /// Timing sweep (gain fixed at 0).
     pub timing_sweep: Vec<Point>,
 }
+
+echo_obs::json_object!(Output {
+    gain_sweep,
+    timing_sweep
+});
 
 /// Runs the sweep. The same (imperfect) device is used for enrolment
 /// and authentication, as it would be in deployment.

@@ -4,10 +4,9 @@
 //! exactly; this runner renders it.
 
 use echo_sim::Population;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// User id range, e.g. `"1-5"`.
     pub user_id: String,
@@ -19,8 +18,15 @@ pub struct Row {
     pub occupation: String,
 }
 
+echo_obs::json_object!(Row {
+    user_id,
+    gender,
+    age,
+    occupation
+});
+
 /// The rendered table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Output {
     /// Rows in paper order.
     pub rows: Vec<Row>,
@@ -29,6 +35,12 @@ pub struct Output {
     /// Subjects acting as spoofers.
     pub spoofers: usize,
 }
+
+echo_obs::json_object!(Output {
+    rows,
+    registered,
+    spoofers
+});
 
 /// Builds Table I from the paper population.
 pub fn run(seed: u64) -> Output {

@@ -15,10 +15,9 @@ use echo_sim::{
 use echoimage_core::par::parallel_map_indexed;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 use echoimage_core::{DistanceEstimate, EchoImageError};
-use serde::{Deserialize, Serialize};
 
 /// One experimental condition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaptureSpec {
     /// Experiment environment.
     pub environment: EnvironmentKind,
@@ -68,7 +67,7 @@ impl CaptureSpec {
 
 /// Harness construction parameters: the pipeline configuration plus the
 /// evaluation-level concurrency.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HarnessConfig {
     /// Pipeline configuration shared by every subject.
     pub pipeline: PipelineConfig,

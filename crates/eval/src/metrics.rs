@@ -8,8 +8,6 @@
 //! `Rejected` (mapped to the spoofer class).
 
 use echoimage_core::AuthDecision;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Pseudo-class id for "spoofer / rejected".
 pub const SPOOFER: usize = usize::MAX;
@@ -29,7 +27,7 @@ pub const SPOOFER: usize = usize::MAX;
 /// assert_eq!(cm.total(), 3);
 /// assert!((cm.metrics().accuracy - 2.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfusionMatrix {
     /// Registered user ids, sorted; the spoofer class is implicit.
     classes: Vec<usize>,
@@ -37,6 +35,8 @@ pub struct ConfusionMatrix {
     /// class.
     counts: Vec<Vec<usize>>,
 }
+
+echo_obs::json_object!(ConfusionMatrix { classes, counts });
 
 impl ConfusionMatrix {
     /// Creates an empty matrix for the given registered user ids.
@@ -205,7 +205,7 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Aggregate authentication quality metrics (paper §VI-A-2, Eq. 16).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuthMetrics {
     /// Macro-averaged recall over registered users.
     pub recall: f64,
@@ -218,10 +218,12 @@ pub struct AuthMetrics {
     pub f_measure: f64,
 }
 
-/// Collects per-condition metrics into an ordered map for table output.
-pub fn metrics_table(rows: &[(String, AuthMetrics)]) -> BTreeMap<String, AuthMetrics> {
-    rows.iter().cloned().collect()
-}
+echo_obs::json_object!(AuthMetrics {
+    recall,
+    precision,
+    accuracy,
+    f_measure
+});
 
 #[cfg(test)]
 mod tests {

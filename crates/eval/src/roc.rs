@@ -4,10 +4,8 @@
 //! decision threshold gives the full trade-off curve (an extension, and
 //! standard practice for biometric systems).
 
-use serde::{Deserialize, Serialize};
-
 /// One operating point of the gate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RocPoint {
     /// Decision threshold.
     pub threshold: f64,
@@ -17,8 +15,14 @@ pub struct RocPoint {
     pub frr: f64,
 }
 
+echo_obs::json_object!(RocPoint {
+    threshold,
+    far,
+    frr
+});
+
 /// A full ROC sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocCurve {
     /// Operating points, ordered by increasing threshold.
     pub points: Vec<RocPoint>,
@@ -29,6 +33,13 @@ pub struct RocCurve {
     /// Area under the ROC curve (1.0 = perfect separation).
     pub auc: f64,
 }
+
+echo_obs::json_object!(RocCurve {
+    points,
+    eer,
+    eer_threshold,
+    auc
+});
 
 /// Sweeps every distinct score as a threshold over genuine and impostor
 /// gate scores (higher = more genuine).

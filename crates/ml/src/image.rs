@@ -17,7 +17,6 @@
 /// assert_eq!(up.width(), 8);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GrayImage {
     width: usize,
     height: usize,
@@ -150,34 +149,6 @@ impl GrayImage {
     /// Mean pixel intensity.
     pub fn mean(&self) -> f64 {
         self.data.iter().sum::<f64>() / self.data.len() as f64
-    }
-
-    /// Box blur with the given radius (window `2r+1`); edges use the
-    /// available window. Radius 0 returns a copy.
-    pub fn box_blur(&self, radius: usize) -> GrayImage {
-        if radius == 0 {
-            return self.clone();
-        }
-        let r = radius as isize;
-        GrayImage::from_fn(self.width, self.height, |x, y| {
-            let mut sum = 0.0;
-            let mut count = 0usize;
-            for dy in -r..=r {
-                for dx in -r..=r {
-                    let nx = x as isize + dx;
-                    let ny = y as isize + dy;
-                    if nx >= 0
-                        && ny >= 0
-                        && (nx as usize) < self.width
-                        && (ny as usize) < self.height
-                    {
-                        sum += self.get(nx as usize, ny as usize);
-                        count += 1;
-                    }
-                }
-            }
-            sum / count as f64
-        })
     }
 }
 

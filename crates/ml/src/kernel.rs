@@ -2,7 +2,6 @@
 
 /// A positive-definite kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Kernel {
     /// Linear kernel `⟨x, y⟩`.
     Linear,

@@ -3,7 +3,6 @@
 
 /// A k-NN classifier over Euclidean distance.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KnnClassifier {
     samples: Vec<Vec<f64>>,
     labels: Vec<usize>,

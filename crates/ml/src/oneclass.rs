@@ -34,7 +34,6 @@ const MAX_ITER_FACTOR: usize = 2_000;
 /// assert!(!svdd.is_inlier(&[5.0, 5.0]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OneClassSvm {
     support_vectors: Vec<Vec<f64>>,
     coefficients: Vec<f64>,

@@ -7,7 +7,6 @@
 
 /// A fitted PCA projection.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pca {
     mean: Vec<f64>,
     /// `components[k]` is the k-th principal axis (unit norm).

@@ -19,7 +19,6 @@
 /// assert!(t[1].abs() < 1e-12);   // constant feature: centred, not scaled
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

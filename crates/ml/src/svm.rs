@@ -28,7 +28,6 @@ const MAX_ITER_FACTOR: usize = 2_000;
 /// assert_eq!(svm.predict(&[0.9]), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SvmBinary {
     support_vectors: Vec<Vec<f64>>,
     /// `α_i · y_i` for each support vector.
@@ -207,7 +206,6 @@ impl SvmBinary {
 /// Trains `k(k−1)/2` binary machines and predicts by majority vote, with
 /// ties broken by the summed decision margins.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SvmMulticlass {
     classes: Vec<usize>,
     /// `(class_a, class_b, machine)` with `a < b`; +1 ⇔ `class_a`.

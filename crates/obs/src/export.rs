@@ -56,7 +56,6 @@ pub fn write_atomic<P: AsRef<Path>>(path: P, contents: &[u8]) -> io::Result<()> 
 fn attr_json(value: &AttrValue) -> String {
     match value {
         AttrValue::U64(v) => format!("{v}"),
-        AttrValue::I64(v) => format!("{v}"),
         AttrValue::F64(v) => json_f64(*v),
         AttrValue::Bool(v) => format!("{v}"),
         AttrValue::Str(v) => format!("\"{}\"", escape_json(v)),

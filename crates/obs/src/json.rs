@@ -1,12 +1,236 @@
-//! The one JSON string escaper every exporter in this crate shares.
+//! The workspace's one JSON module: a value tree ([`Json`]), its pretty
+//! writer and parser, the [`ToJson`] trait experiment artefacts are
+//! written through (with the [`json_object!`](crate::json_object)
+//! macro that implements it for a struct), and the string escaper every
+//! exporter shares.
 //!
 //! The metrics snapshot, the trace JSONL writer and the Chrome
-//! trace-event writer all hand-roll their JSON (the workspace's vendored
-//! `serde_json` stub has no generic `Value`), so they must agree on how
-//! a string becomes a JSON string literal. Keeping the escaper here —
-//! public, shared, and unit-tested — is what makes a metric or span
-//! name containing `"` or `\` emit *valid* JSON everywhere instead of
-//! only in the exporters that remembered to escape.
+//! trace-event writer stream their JSON straight into a `String`
+//! instead of building a tree, but they escape through the same
+//! [`escape_json`] the writer uses. Keeping the escaper here — public,
+//! shared, and unit-tested — is what makes a metric or span name
+//! containing `"` or `\` emit *valid* JSON everywhere instead of only
+//! in the exporters that remembered to escape.
+
+/// A JSON document.
+///
+/// Integers and floats stay apart, so `0` and `0.0` each survive a
+/// write → parse round trip as what they were.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    /// A number written without `.`, `e` or `E`. `i128` holds every
+    /// `u64` and every `i64`.
+    Int(i128),
+    /// A number written with `.`, `e` or `E`.
+    Float(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    /// Members in document order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parses a complete JSON document (surrounding whitespace
+    /// allowed). Accepts the full JSON grammar; a float literal too
+    /// large for `f64` (`1e999`) becomes infinity like
+    /// `f64::from_str` does, and an integer literal too large for
+    /// `i128` parses as a float.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the byte offset of the first malformed token.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(value)
+    }
+
+    /// Renders the document with two-space indentation: one element or
+    /// member per line, `": "` after each key, and `[]` / `{}` for an
+    /// empty array / object. A float whose shortest round-trip form is
+    /// integral gets a `.0` so it parses back as a float.
+    ///
+    /// # Errors
+    ///
+    /// A NaN or infinite float, which JSON cannot represent.
+    pub fn to_pretty(&self) -> Result<String, String> {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0)?;
+        Ok(out)
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) -> Result<(), String> {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Float(x) => {
+                if !x.is_finite() {
+                    return Err(format!("non-finite float {x} is not valid JSON"));
+                }
+                let text = json_f64(*x);
+                out.push_str(&text);
+                if !text.contains(['.', 'e', 'E']) {
+                    out.push_str(".0");
+                }
+            }
+            Json::Str(s) => push_str_literal(out, s),
+            Json::Arr(items) => {
+                write_members(out, depth, ['[', ']'], items.iter().map(|v| (None, v)))?;
+            }
+            Json::Obj(members) => write_members(
+                out,
+                depth,
+                ['{', '}'],
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            )?,
+        }
+        Ok(())
+    }
+
+    /// Object-member lookup.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Dotted-path lookup: `path("single_image.gemm_ns")`.
+    pub fn path(&self, dotted: &str) -> Option<&Json> {
+        dotted.split('.').try_fold(self, |node, key| node.get(key))
+    }
+
+    /// The numeric value of an integer or a float.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(n) => Some(*n as f64),
+            Json::Float(x) => Some(*x),
+            _ => None,
+        }
+    }
+}
+
+/// Writes an array (`key` always `None`) or an object's members, one
+/// per line at `depth + 1`, closing at `depth`.
+fn write_members<'a>(
+    out: &mut String,
+    depth: usize,
+    [open, close]: [char; 2],
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) -> Result<(), String> {
+    out.push(open);
+    let empty = members.len() == 0;
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline_indent(out, depth + 1);
+        if let Some(key) = key {
+            push_str_literal(out, key);
+            out.push_str(": ");
+        }
+        value.write_pretty(out, depth + 1)?;
+    }
+    if !empty {
+        newline_indent(out, depth);
+    }
+    out.push(close);
+    Ok(())
+}
+
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', 2 * depth));
+}
+
+fn push_str_literal(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&escape_json(s));
+    out.push('"');
+}
+
+/// Lowers a value to the [`Json`] tree an artefact is written from.
+pub trait ToJson {
+    fn to_json(&self) -> Json;
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Float(*self)
+    }
+}
+
+impl ToJson for usize {
+    fn to_json(&self) -> Json {
+        Json::Int(*self as i128)
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
+/// Implements [`ToJson`] for a struct as an object whose members are
+/// the listed fields, in the listed order.
+///
+/// The implementation binds the fields by destructuring the struct
+/// without `..`, so a field added to the struct but not to the list is
+/// a compile error rather than a member silently missing from every
+/// artefact. rustc words that error as "pattern requires `..` due to
+/// inaccessible fields", even when every field is public.
+///
+/// ```
+/// use echo_obs::json::ToJson;
+///
+/// struct Point {
+///     x: f64,
+///     hits: usize,
+/// }
+/// echo_obs::json_object!(Point { x, hits });
+///
+/// let json = Point { x: 1.0, hits: 3 }.to_json().to_pretty().unwrap();
+/// assert_eq!(json, "{\n  \"x\": 1.0,\n  \"hits\": 3\n}");
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                let $ty { $($field),+ } = self;
+                $crate::json::Json::Obj(::std::vec![$((
+                    ::std::string::String::from(::std::stringify!($field)),
+                    $crate::json::ToJson::to_json($field),
+                )),+])
+            }
+        }
+    };
+}
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes not
 /// included). Covers the two mandatory escapes (`"`, `\`), the common
@@ -39,9 +263,182 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", b as char, self.pos))
+        }
+    }
+
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(format!("unexpected input at byte {}", self.pos)),
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            members.push((key, self.value()?));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(members));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let esc = self.peek().ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .ok_or("truncated \\u escape")?;
+                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            self.pos += 4;
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or_else(|| format!("invalid codepoint \\u{hex}"))?,
+                            );
+                        }
+                        other => {
+                            return Err(format!("unknown escape `\\{}`", other as char));
+                        }
+                    }
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar. `pos` only ever stops on
+                    // char boundaries, so the suffix re-validates.
+                    let rest = &self.bytes[self.pos..];
+                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
+                    let c = s.chars().next().ok_or("unterminated string")?;
+                    out.push(c);
+                    self.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        if !text.contains(['.', 'e', 'E']) {
+            if let Ok(n) = text.parse::<i128>() {
+                return Ok(Json::Int(n));
+            }
+        }
+        text.parse::<f64>()
+            .map(Json::Float)
+            .map_err(|e| format!("bad number `{text}` at byte {start}: {e}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Writes `v` pretty and parses it back.
+    fn round_trip(v: &Json) -> Json {
+        Json::parse(&v.to_pretty().unwrap()).unwrap()
+    }
 
     #[test]
     fn plain_strings_pass_through() {
@@ -85,5 +482,103 @@ mod tests {
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(f64::NEG_INFINITY), "null");
+    }
+
+    #[test]
+    fn floats_round_trip_bit_exactly() {
+        for x in [0.1f64, -2.5e-7, 1.0, 12345.0, f64::MIN_POSITIVE, 1e300] {
+            match round_trip(&x.to_json()) {
+                Json::Float(back) => assert_eq!(back.to_bits(), x.to_bits(), "{x}"),
+                other => panic!("{x} came back as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nested_structures_round_trip() {
+        let v = vec![vec![1usize, 2], vec![3]].to_json();
+        assert_eq!(round_trip(&v), v);
+        let pairs = vec![(1usize, 2.5f64), (3, -4.0)].to_json();
+        assert_eq!(round_trip(&pairs), pairs);
+    }
+
+    #[test]
+    fn strings_escape_and_unescape() {
+        let s = "a \"quoted\"\\\npath/ü\u{1}".to_string();
+        assert_eq!(round_trip(&s.to_json()), Json::Str(s));
+    }
+
+    #[test]
+    fn integer_zero_stays_integer_and_float_zero_stays_float() {
+        assert_eq!(0usize.to_json().to_pretty().unwrap(), "0");
+        assert_eq!(0.0f64.to_json().to_pretty().unwrap(), "0.0");
+        assert_eq!(Json::parse("0").unwrap(), Json::Int(0));
+        assert_eq!(Json::parse("0.0").unwrap(), Json::Float(0.0));
+    }
+
+    #[test]
+    fn extreme_integers_round_trip_exactly() {
+        for n in [usize::MAX as i128, u64::MAX as i128, i64::MIN as i128, -7] {
+            assert_eq!(round_trip(&Json::Int(n)), Json::Int(n));
+        }
+        assert_eq!(usize::MAX.to_json(), Json::Int(usize::MAX as i128));
+    }
+
+    #[test]
+    fn non_finite_floats_are_a_write_error() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let nested = Json::Obj(vec![("v".into(), Json::Arr(vec![Json::Float(x)]))]);
+            assert!(nested.to_pretty().is_err(), "{x} was written");
+        }
+    }
+
+    #[test]
+    fn parses_the_bench_artefact_shape() {
+        let doc = r#"{
+          "bench": "feature_bench",
+          "quick": false,
+          "single_image": {"gemm_ns": 172313, "speedup_vs_naive": 4.93},
+          "batch_16_images": [{"threads": "1", "ns_per_batch": 2646145}],
+          "nullable": null
+        }"#;
+        let v = Json::parse(doc).unwrap();
+        assert_eq!(
+            v.path("single_image.gemm_ns").unwrap().as_f64(),
+            Some(172313.0)
+        );
+        assert_eq!(
+            v.path("single_image.speedup_vs_naive").unwrap().as_f64(),
+            Some(4.93)
+        );
+        assert_eq!(v.get("quick"), Some(&Json::Bool(false)));
+        assert_eq!(v.get("nullable"), Some(&Json::Null));
+        match v.get("batch_16_images") {
+            Some(Json::Arr(rows)) => {
+                assert_eq!(rows[0].get("threads"), Some(&Json::Str("1".into())));
+            }
+            other => panic!("expected array, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parses_escapes_and_negative_exponent_numbers() {
+        let v = Json::parse(r#"{"s": "a\"b\\c\ndA", "n": -1.5e-3}"#).unwrap();
+        assert_eq!(v.get("s"), Some(&Json::Str("a\"b\\c\ndA".into())));
+        assert_eq!(v.get("n").unwrap().as_f64(), Some(-1.5e-3));
+    }
+
+    #[test]
+    fn missing_path_and_wrong_type_are_none() {
+        let v = Json::parse(r#"{"a": {"b": 1}}"#).unwrap();
+        assert!(v.path("a.c").is_none());
+        assert!(v.path("a.b.c").is_none());
+        assert!(v.get("a").unwrap().as_f64().is_none());
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for doc in ["{", r#"{"a": }"#, "[1,]", r#""unterminated"#, "1 2", "tru"] {
+            assert!(Json::parse(doc).is_err(), "accepted {doc:?}");
+        }
     }
 }

@@ -1,10 +1,9 @@
-//! Point-in-time registry snapshots and the hand-rolled JSON exporter.
+//! Point-in-time registry snapshots and the streaming JSON exporter.
 //!
-//! The exporter is deliberately dependency-free (the workspace's
-//! vendored `serde_json` stub has no generic `Value`); string escaping
-//! goes through the shared [`crate::json::escape_json`] so metric names
-//! containing `"` or `\` serialise identically here and in the trace
-//! exporters.
+//! The exporter writes straight into a `String` rather than building a
+//! [`crate::json::Json`] tree; string escaping goes through the shared
+//! [`crate::json::escape_json`] so metric names containing `"` or `\`
+//! serialise identically here and in the trace exporters.
 
 use crate::json::escape_json as escape;
 use crate::metrics::BUCKET_BOUNDS_NS;

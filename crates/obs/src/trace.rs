@@ -147,7 +147,6 @@ fn derive_span_id(parent: u64, name: &str, lidx: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     U64(u64),
-    I64(i64),
     F64(f64),
     Bool(bool),
     Str(String),
@@ -320,10 +319,6 @@ impl TraceSpan {
 
     pub fn attr_u64(&mut self, key: &'static str, value: u64) {
         self.push_attr(key, AttrValue::U64(value));
-    }
-
-    pub fn attr_i64(&mut self, key: &'static str, value: i64) {
-        self.push_attr(key, AttrValue::I64(value));
     }
 
     pub fn attr_f64(&mut self, key: &'static str, value: f64) {

@@ -204,11 +204,6 @@ impl ServerHandle {
         &self.shared.fx
     }
 
-    /// `true` once a shutdown request was received or issued.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Relaxed)
-    }
-
     /// Flags shutdown and joins both threads, draining queued work
     /// first (bounded by an internal grace period).
     pub fn shutdown(mut self) {

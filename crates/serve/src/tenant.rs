@@ -205,11 +205,6 @@ impl TenantRegistry {
             .get(&tenant)
             .and_then(|t| t.store.clone())
     }
-
-    /// Number of tenants the registry has seen.
-    pub fn tenant_count(&self) -> usize {
-        self.inner.lock().unwrap().len()
-    }
 }
 
 #[cfg(test)]

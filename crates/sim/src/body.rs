@@ -19,7 +19,6 @@ use rand_chacha::ChaCha8Rng;
 
 /// An acoustic point scatterer: a surface patch that re-radiates the beep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scatterer {
     /// Position in array coordinates (origin at the array centre).
     pub position: Vec3,
@@ -31,7 +30,6 @@ pub struct Scatterer {
 /// Biological sex used to condition body-size distributions (matches the
 /// paper's Table I demographics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Gender {
     /// Male body-size priors.
     Male,
@@ -41,7 +39,6 @@ pub enum Gender {
 
 /// Gross body geometry for one user.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BodyParameters {
     /// Standing height in metres.
     pub height: f64,
@@ -75,7 +72,6 @@ impl BodyParameters {
 
 /// Where a user stands relative to the array.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Placement {
     /// Horizontal user–array distance along +y, metres (the paper's D_p).
     pub distance: f64,
@@ -109,7 +105,6 @@ impl Placement {
 
 /// One cosine component of the surface-reflectivity texture field.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct TextureWave {
     fx: f64,
     fz: f64,
@@ -119,7 +114,6 @@ struct TextureWave {
 
 /// A canonical (unplaced) body scatterer.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct TemplatePoint {
     /// Lateral offset from the body midline, metres.
     x: f64,
@@ -147,7 +141,6 @@ struct TemplatePoint {
 /// assert!(placed.len() > 100);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BodyModel {
     seed: u64,
     params: BodyParameters,
@@ -281,11 +274,6 @@ impl BodyModel {
     /// The seed this body was built from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Number of scatterers in the template.
-    pub fn num_scatterers(&self) -> usize {
-        self.template.len()
     }
 
     /// Places the body in array coordinates and applies session drift and

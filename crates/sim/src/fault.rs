@@ -19,7 +19,6 @@ use rand_chacha::ChaCha8Rng;
 
 /// The fault families, without parameters — used to enumerate sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultKind {
     /// Channel is flatlined (broken mic or unplugged element).
     Dead,
@@ -59,9 +58,23 @@ impl FaultKind {
     }
 }
 
+/// Artefacts name a fault family by its variant name.
+impl echo_obs::json::ToJson for FaultKind {
+    fn to_json(&self) -> echo_obs::json::Json {
+        let name = match self {
+            FaultKind::Dead => "Dead",
+            FaultKind::GainDrift => "GainDrift",
+            FaultKind::DcOffset => "DcOffset",
+            FaultKind::Clipping => "Clipping",
+            FaultKind::ClockSkew => "ClockSkew",
+            FaultKind::BurstInterference => "BurstInterference",
+        };
+        echo_obs::json::Json::Str(name.into())
+    }
+}
+
 /// One microphone's fault, with physical parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChannelFault {
     /// The channel records exactly zero.
     Dead,
@@ -208,7 +221,6 @@ fn sample_linear(signal: &[f64], t: f64) -> f64 {
 /// assert!(damaged.channel(1).iter().all(|&x| x == 0.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// `(microphone index, fault)` pairs.
     pub faults: Vec<(usize, ChannelFault)>,

@@ -25,7 +25,6 @@ pub fn amplitude_for_spl(db: f64) -> f64 {
 
 /// The ambient-noise conditions evaluated in the paper (Fig. 12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NoiseKind {
     /// Quiet room, ~30 dB broadband floor.
     Quiet,

@@ -10,7 +10,6 @@ use crate::body::{BodyModel, Gender};
 
 /// Age bracket, matching the paper's Table I rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AgeRange {
     /// 10–20 years.
     Teens,
@@ -33,7 +32,6 @@ impl AgeRange {
 
 /// Occupation, matching the paper's Table I rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Occupation {
     /// Undergraduate student.
     Undergraduate,
@@ -56,7 +54,6 @@ impl Occupation {
 
 /// One subject.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UserProfile {
     /// 1-based user id, as in Table I.
     pub id: u32,
@@ -90,7 +87,6 @@ impl UserProfile {
 /// assert_eq!(pop.spoofers().count(), 8);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Population {
     profiles: Vec<UserProfile>,
     registered_count: usize,

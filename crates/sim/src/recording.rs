@@ -7,7 +7,6 @@
 /// beep was emitted) — the MVDR stage estimates its noise covariance from
 /// them. The beep leaves the speaker at sample index `preroll`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeepCapture {
     channels: Vec<Vec<f64>>,
     sample_rate: f64,

@@ -20,7 +20,6 @@ use rand_chacha::ChaCha8Rng;
 
 /// The three experiment environments of the paper (Fig. 12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EnvironmentKind {
     /// A laboratory room: near walls, dense furniture clutter.
     Laboratory,
@@ -67,7 +66,6 @@ impl EnvironmentKind {
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Environment {
     kind: EnvironmentKind,
     reflectors: Vec<Scatterer>,
@@ -235,7 +233,6 @@ impl Environment {
 /// assert_eq!(room.images(Vec3::new(0.0, 0.0, 0.0)).len(), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoomModel {
     /// Interior dimensions (Lx, Ly, Lz), metres.
     pub size: Vec3,

@@ -35,7 +35,6 @@ use rand_chacha::ChaCha8Rng;
 
 /// The attack families, without parameters — used to enumerate sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SpoofKind {
     /// Loudspeaker re-emission of a recorded echo train.
     Replay,
@@ -56,9 +55,19 @@ impl SpoofKind {
     }
 }
 
+/// Artefacts name an attack family by its variant name.
+impl echo_obs::json::ToJson for SpoofKind {
+    fn to_json(&self) -> echo_obs::json::Json {
+        let name = match self {
+            SpoofKind::Replay => "Replay",
+            SpoofKind::Twin => "Twin",
+        };
+        echo_obs::json::Json::Str(name.into())
+    }
+}
+
 /// A loudspeaker replay attack: the parameters of the playback rig.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplaySpoof {
     /// The recorded waveforms the attacker plays, one per beep of the
     /// probe train (cycled when the train is longer than the
@@ -164,7 +173,6 @@ impl ReplaySpoof {
 /// A twin-like impostor: gross body geometry sampled within `radius`
 /// of a target user's enrollment parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwinSpoof {
     /// The target user's body seed (their enrollment identity).
     pub target_seed: u64,
@@ -234,7 +242,6 @@ impl TwinSpoof {
 
 /// One attack scenario: the family plus its parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SpoofAttack {
     /// Loudspeaker replay.
     Replay {
@@ -270,7 +277,6 @@ pub enum SpoofAttack {
 /// assert_eq!(attack[0].num_channels(), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpoofPlan {
     /// The attack to mount.
     pub attack: SpoofAttack,

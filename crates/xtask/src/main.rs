@@ -2,7 +2,8 @@
 //!
 //! `cargo xtask ci` replays the exact gate from
 //! `.github/workflows/ci.yml` locally — same commands, same order — so
-//! a change that passes here passes CI. `cargo xtask bench-check` is
+//! a change that passes here passes CI. `cargo xtask determinism` runs
+//! one cell of its threads × SIMD matrix. `cargo xtask bench-check` is
 //! the bench-regression gate: it collects a fresh `feature_bench`
 //! sample and fails if any gated kernel latency regressed more than the
 //! threshold against the committed `BENCH_features.json` baseline.
@@ -12,14 +13,16 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{exit, Command};
 
-mod jsonv;
 mod trace_report;
-use jsonv::Json;
+use echo_obs::json::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("ci") => ci(),
+        Some("determinism") => {
+            determinism(&[]);
+        }
         Some("bench-check") => bench_check(&args[1..]),
         Some("bench-baseline") => bench_baseline(),
         Some("obs-smoke") => obs_smoke(),
@@ -37,12 +40,15 @@ fn main() {
 }
 
 const USAGE: &str =
-    "usage: cargo xtask <ci | bench-check | bench-baseline | obs-smoke | trace-report>
+    "usage: cargo xtask <ci | determinism | bench-check | bench-baseline | obs-smoke | trace-report>
 
 tasks:
   ci              run the full CI gate (fmt, clippy, build, tests, the
                   determinism matrix, property suites, bench build +
                   bench-regression check, trace-report selftest)
+  determinism     run every determinism suite once, under the caller's
+                  ECHOIMAGE_THREADS and ECHOIMAGE_SIMD (one cell of the
+                  CI determinism matrix)
   bench-check     collect a fresh feature_bench sample and fail on a
                   latency regression beyond the threshold
                     --baseline <path>   committed numbers
@@ -91,8 +97,9 @@ type Step = (
 );
 
 /// The `(package, suite)` pairs that must hold bit-for-bit across
-/// worker-thread counts and SIMD dispatch modes, mirrored by the CI
-/// determinism matrix.
+/// worker-thread counts and SIMD dispatch modes. Both `cargo xtask ci`
+/// and each cell of the CI determinism matrix run this list through
+/// [`determinism`].
 const DETERMINISM_SUITES: [(&str, &str); 9] = [
     ("echoimage-core", "fault_injection"),
     ("echoimage-core", "feature_determinism"),
@@ -154,14 +161,8 @@ fn ci() {
     let mut matrix_steps = 0;
     for simd in SIMD_MODES {
         for threads in ["1", "0"] {
-            for (pkg, suite) in DETERMINISM_SUITES {
-                run(
-                    &format!("{suite} (threads = {threads}, simd = {simd})"),
-                    &["test", "-q", "-p", pkg, "--test", suite],
-                    &[("ECHOIMAGE_THREADS", threads), ("ECHOIMAGE_SIMD", simd)],
-                );
-                matrix_steps += 1;
-            }
+            matrix_steps +=
+                determinism(&[("ECHOIMAGE_THREADS", threads), ("ECHOIMAGE_SIMD", simd)]);
         }
     }
     matrix_steps += simd_parity();
@@ -272,6 +273,23 @@ fn ci() {
         steps.len() + matrix_steps + tail.len() + 4
     );
     print_step_durations();
+}
+
+/// Runs every [`DETERMINISM_SUITES`] entry once with `envs` added to
+/// the caller's environment: one cell of the threads × SIMD matrix.
+/// `cargo xtask determinism` adds nothing, so the caller's
+/// `ECHOIMAGE_THREADS` / `ECHOIMAGE_SIMD` choose the cell. Returns the
+/// number of gate steps run.
+fn determinism(envs: &[(&str, &str)]) -> usize {
+    let cell: String = envs.iter().map(|(k, v)| format!(" {k}={v}")).collect();
+    for (pkg, suite) in DETERMINISM_SUITES {
+        run(
+            &format!("{suite}{cell}"),
+            &["test", "-q", "-p", pkg, "--test", suite],
+            envs,
+        );
+    }
+    DETERMINISM_SUITES.len()
 }
 
 /// Cross-process SIMD parity: runs the digest half of the

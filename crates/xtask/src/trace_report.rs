@@ -9,7 +9,7 @@
 //! `--chrome <out>` additionally re-exports the spans as Chrome
 //! trace-event JSON loadable in Perfetto (`ui.perfetto.dev`).
 
-use crate::jsonv::Json;
+use echo_obs::json::Json;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::exit;
@@ -367,10 +367,9 @@ fn write_chrome(spans: &[Span], out: &Path) {
                 .filter_map(|(k, v)| {
                     let key: &'static str = Box::leak(k.clone().into_boxed_str());
                     let value = match v {
-                        Json::Num(n) => echo_obs::trace::AttrValue::F64(*n),
                         Json::Bool(b) => echo_obs::trace::AttrValue::Bool(*b),
                         Json::Str(s) => echo_obs::trace::AttrValue::Str(s.clone()),
-                        _ => return None,
+                        _ => echo_obs::trace::AttrValue::F64(v.as_f64()?),
                     };
                     Some((key, value))
                 })

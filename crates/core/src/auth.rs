@@ -21,6 +21,7 @@ use crate::pipeline::{EchoImagePipeline, TrainRequest};
 use echo_ml::{Kernel, OneClassSvm, StandardScaler, SvmMulticlass};
 use echo_obs::{AuthAudit, AuthVerdict, RejectKind, TraceCtx};
 use echo_sim::BeepCapture;
+use std::borrow::Borrow;
 use std::time::Instant;
 
 /// How the spoofer gate is trained.
@@ -156,12 +157,16 @@ impl Authenticator {
     /// kernel width matched to that group's spread — a single radius
     /// cannot wrap a multi-modal cloud tightly.
     ///
+    /// A group is anything that borrows as a slice of feature vectors:
+    /// a `Vec`, or an `Arc<[Vec<f64>]>` that a caller keeping its
+    /// corpus shares instead of copying.
+    ///
     /// # Errors
     ///
     /// Returns [`EchoImageError::InvalidParameter`] when no users, empty
     /// users/groups, or duplicate ids are provided.
-    pub fn enroll_with_groups(
-        users: &[(usize, Vec<Vec<Vec<f64>>>)],
+    pub fn enroll_with_groups<G: Borrow<[Vec<f64>]>>(
+        users: &[(usize, Vec<G>)],
         config: &AuthConfig,
     ) -> Result<Self, EchoImageError> {
         if users.is_empty() {
@@ -169,7 +174,7 @@ impl Authenticator {
         }
         if users
             .iter()
-            .any(|(_, gs)| gs.is_empty() || gs.iter().any(|g| g.is_empty()))
+            .any(|(_, gs)| gs.is_empty() || gs.iter().any(|g| g.borrow().is_empty()))
         {
             return Err(EchoImageError::InvalidParameter(
                 "every user needs at least one non-empty enrolment group",
@@ -183,7 +188,7 @@ impl Authenticator {
         }
         // Guard the feature geometry up front: a ragged or zero-dim
         // enrolment would otherwise panic deep inside the scaler/kernel.
-        let dim = users[0].1[0][0].len();
+        let dim = users[0].1[0].borrow()[0].len();
         if dim == 0 {
             return Err(EchoImageError::InvalidParameter(
                 "feature vectors are zero-dimensional",
@@ -191,7 +196,7 @@ impl Authenticator {
         }
         if users
             .iter()
-            .any(|(_, gs)| gs.iter().any(|g| g.iter().any(|x| x.len() != dim)))
+            .any(|(_, gs)| gs.iter().flat_map(|g| g.borrow()).any(|x| x.len() != dim))
         {
             return Err(EchoImageError::InvalidParameter(
                 "feature vectors disagree in dimensionality",
@@ -202,7 +207,7 @@ impl Authenticator {
         let mut labels: Vec<usize> = Vec::new();
         for (id, gs) in users {
             for g in gs {
-                for x in g {
+                for x in g.borrow() {
                     all.push(x.clone());
                     labels.push(*id);
                 }
@@ -218,13 +223,13 @@ impl Authenticator {
         let user_clouds: Vec<Vec<Vec<f64>>> = users
             .iter()
             .map(|(_, gs)| {
-                let flat: Vec<Vec<f64>> = gs.iter().flatten().cloned().collect();
+                let flat: Vec<Vec<f64>> = gs.iter().flat_map(|g| g.borrow()).cloned().collect();
                 scaler.transform_batch(&flat)
             })
             .collect();
         let group_clouds: Vec<Vec<Vec<f64>>> = users
             .iter()
-            .flat_map(|(_, gs)| gs.iter().map(|g| scaler.transform_batch(g)))
+            .flat_map(|(_, gs)| gs.iter().map(|g| scaler.transform_batch(g.borrow())))
             .collect();
 
         let gates = match config.gate {

@@ -16,6 +16,7 @@ use super::{Candidate, StoreError, TemplateStore};
 use crate::auth::{train_user_gates, AuthConfig};
 use crate::error::EchoImageError;
 use echo_ml::{Kernel, StandardScaler};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// One SVDD gate in template form: the flat-serialized equivalent of a
@@ -177,7 +178,9 @@ impl TemplateBuilder {
     }
 
     /// Trains one user's gates on their raw enrolment groups (one
-    /// feature cloud per beep group) and packs them into a template.
+    /// feature cloud per beep group, owned or shared as in
+    /// `Authenticator::enroll_with_groups`) and packs them into a
+    /// template.
     /// Training is `train_user_gates` — the exact path
     /// `Authenticator::enroll_with_groups` uses — so the resulting
     /// gates are bit-identical to an in-memory enrolment with the same
@@ -189,25 +192,29 @@ impl TemplateBuilder {
     /// that disagree with the scaler's dimensionality;
     /// [`EchoImageError::Store`] when a trained gate cannot be
     /// templated.
-    pub fn build_user(
+    pub fn build_user<G: Borrow<[Vec<f64>]>>(
         &self,
         user_id: u64,
-        groups: &[Vec<Vec<f64>>],
+        groups: &[G],
     ) -> Result<UserTemplate, EchoImageError> {
         let dim = self.scaler.dim();
-        if groups.is_empty() || groups.iter().any(|g| g.is_empty()) {
+        if groups.is_empty() || groups.iter().any(|g| g.borrow().is_empty()) {
             return Err(EchoImageError::InvalidParameter(
                 "each enrolled user needs at least one non-empty feature group",
             ));
         }
-        if groups.iter().flatten().any(|f| f.len() != dim) {
+        if groups
+            .iter()
+            .flat_map(|g| g.borrow())
+            .any(|f| f.len() != dim)
+        {
             return Err(EchoImageError::InvalidParameter(
                 "enrolment features disagree with the scaler dimensionality",
             ));
         }
         let scaled: Vec<Vec<Vec<f64>>> = groups
             .iter()
-            .map(|g| self.scaler.transform_batch(g))
+            .map(|g| self.scaler.transform_batch(g.borrow()))
             .collect();
         // Centroid over all scaled samples (group order preserved),
         // accumulated in f64 and quantized once at the end.
@@ -435,7 +442,7 @@ mod tests {
     #[test]
     fn builder_rejects_bad_shapes() {
         let b = builder_for(&[cloud(0.0, 0.0, 10, 3)]);
-        assert!(b.build_user(1, &[]).is_err());
+        assert!(b.build_user::<Vec<Vec<f64>>>(1, &[]).is_err());
         assert!(b.build_user(1, &[vec![]]).is_err());
         assert!(b.build_user(1, &[vec![vec![1.0, 2.0, 3.0]]]).is_err());
     }

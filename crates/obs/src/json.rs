@@ -205,24 +205,30 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
 /// artefact. rustc words that error as "pattern requires `..` due to
 /// inaccessible fields", even when every field is public.
 ///
+/// A field that must stay out of the object — a wall-clock timing,
+/// say, in an artefact that is otherwise byte-reproducible — is named
+/// after `skip`, so it is still accounted for.
+///
 /// ```
 /// use echo_obs::json::ToJson;
 ///
 /// struct Point {
 ///     x: f64,
 ///     hits: usize,
+///     elapsed_ms: f64,
 /// }
-/// echo_obs::json_object!(Point { x, hits });
+/// echo_obs::json_object!(Point { x, hits } skip { elapsed_ms });
 ///
-/// let json = Point { x: 1.0, hits: 3 }.to_json().to_pretty().unwrap();
+/// let p = Point { x: 1.0, hits: 3, elapsed_ms: 2.5 };
+/// let json = p.to_json().to_pretty().unwrap();
 /// assert_eq!(json, "{\n  \"x\": 1.0,\n  \"hits\": 3\n}");
 /// ```
 #[macro_export]
 macro_rules! json_object {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $($field:ident),+ $(,)? } $(skip { $($skip:ident),+ $(,)? })?) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                let $ty { $($field),+ } = self;
+                let $ty { $($field,)+ $($($skip: _,)+)? } = self;
                 $crate::json::Json::Obj(::std::vec![$((
                     ::std::string::String::from(::std::stringify!($field)),
                     $crate::json::ToJson::to_json($field),

@@ -114,6 +114,9 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
         // The job's span (and with it the request's trace) closes here,
         // after the response is queued for write.
     }
+    // One wake per flush, after its last response: the I/O thread then
+    // writes each connection's share of the batch in one go.
+    shared.wake();
     echo_obs::histogram!("serve.batch_flush").observe_ns(t0.elapsed().as_nanos() as u64);
 }
 
@@ -266,5 +269,97 @@ pub(crate) fn shed(req: &Request, trace_id: u64, queued: usize) -> Response {
             req.tenant
         ),
         stats: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ServeConfig;
+    use std::collections::VecDeque;
+    use std::io::Read;
+    use std::time::Duration;
+
+    /// A tenant no other test in this crate touches: decisions feed
+    /// the process-global telemetry windows.
+    const TENANT: u64 = 0xBA7C4;
+    const CONN: u64 = 4;
+
+    /// An auth job for a tenant nobody enrolled: it decides to a typed
+    /// error without feature extraction, which is all a flush needs.
+    fn job(request_id: u64) -> Job {
+        Job {
+            conn: CONN,
+            req: Request {
+                op: Opcode::Auth,
+                request_id,
+                tenant: TENANT,
+                user: 1,
+                images: Vec::new(),
+            },
+            enqueued: Instant::now(),
+            span: echo_obs::root_span("serve.request"),
+            queue_wait: None,
+        }
+    }
+
+    fn shared_with(cfg: ServeConfig) -> Shared {
+        let shared = Shared::new(cfg).unwrap();
+        shared
+            .outboxes
+            .lock()
+            .unwrap()
+            .insert(CONN, VecDeque::new());
+        shared
+    }
+
+    /// Reads the (non-blocking) wake channel empty; returns the bytes.
+    fn wake_bytes(shared: &Shared) -> usize {
+        let mut buf = [0u8; 64];
+        let mut total = 0;
+        while let Ok(n @ 1..) = (&shared.wake_rx).read(&mut buf) {
+            total += n;
+        }
+        total
+    }
+
+    fn outbox_len(shared: &Shared) -> usize {
+        shared.outboxes.lock().unwrap()[&CONN].len()
+    }
+
+    #[test]
+    fn one_flush_fills_the_outbox_then_wakes_once() {
+        let shared = shared_with(ServeConfig::default());
+        let n = 5;
+        process_batch(&shared, (0..n).map(|i| job(i as u64)).collect());
+        assert_eq!(outbox_len(&shared), n);
+        assert_eq!(wake_bytes(&shared), 1);
+    }
+
+    #[test]
+    fn zero_window_flushes_everything_queued_at_once() {
+        let cfg = ServeConfig::validated(Duration::ZERO, 32, 256, 1).unwrap();
+        let shared = shared_with(cfg);
+        let n = 6;
+        shared
+            .queue
+            .lock()
+            .unwrap()
+            .extend((0..n).map(|i| job(i as u64)));
+        std::thread::scope(|s| {
+            let batcher = s.spawn(|| run(&shared));
+            // Block until the first flush's wake, which follows that
+            // flush's last response.
+            let mut byte = [0u8; 1];
+            shared.wake_rx.set_nonblocking(false).unwrap();
+            (&shared.wake_rx).read_exact(&mut byte).unwrap();
+            shared.wake_rx.set_nonblocking(true).unwrap();
+            assert_eq!(outbox_len(&shared), n, "one flush took every queued job");
+            shared.shutdown.store(true, Ordering::Relaxed);
+            shared.cond.notify_all();
+            batcher.join().unwrap();
+        });
+        assert_eq!(wake_bytes(&shared), 0, "no second flush");
+        assert_eq!(outbox_len(&shared), n);
     }
 }

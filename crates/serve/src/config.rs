@@ -78,8 +78,9 @@ impl From<ThreadsParseError> for ServeConfigError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// How long the batcher holds the oldest queued request hoping for
-    /// company before flushing anyway. Zero disables coalescing — every
-    /// request is its own batch.
+    /// company before flushing anyway. Zero removes the wait, not the
+    /// coalescing: each flush still takes every job queued by the time
+    /// the batcher looks, up to `max_batch`.
     pub batch_window: Duration,
     /// Flush immediately once this many requests are queued.
     pub max_batch: usize,
@@ -184,7 +185,8 @@ mod tests {
             ServeConfig::validated(d.batch_window, d.max_batch, d.queue_bound, 2000),
             Err(ServeConfigError::Threads(_))
         ));
-        // A zero window is legal: it means "no coalescing".
+        // A zero window is legal: it means "never wait for company";
+        // whatever is already queued still shares a flush.
         assert!(ServeConfig::validated(Duration::ZERO, 1, 1, 1).is_ok());
     }
 

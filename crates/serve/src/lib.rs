@@ -18,7 +18,8 @@
 //!   parse time.
 //! * [`tenant`] — per-tenant authenticator snapshots (`Arc`-swapped on
 //!   enrol) and the admission counters behind load shedding.
-//! * [`server`] — the non-blocking I/O loop and [`server::ServerHandle`].
+//! * [`server`] — the `poll(2)`-driven I/O loop and
+//!   [`server::ServerHandle`].
 //! * [`client`] — a small blocking client for the protocol.
 //! * [`loadgen`] — deterministic load generation for the `load_test`
 //!   bin and the serving benchmark.
@@ -69,6 +70,7 @@ pub mod stats;
 pub mod tenant;
 
 mod batcher;
+mod poll;
 
 pub use client::{Client, ClientError};
 pub use config::{ServeConfig, ServeConfigError};

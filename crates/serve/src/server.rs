@@ -12,14 +12,32 @@
 //!   coalesces queued jobs into batched feature extraction and pushes
 //!   encoded responses into the outboxes.
 //!
-//! The loop is poll-based (`set_nonblocking` + a short idle sleep)
-//! instead of epoll-based: the workspace is zero-dependency and the
-//! daemon's work unit is a ~100 µs feature extraction, so a sub-
-//! millisecond poll granularity costs nothing measurable while keeping
-//! the loop portable and small. Fast-path requests (ping, shutdown)
-//! are answered directly on the I/O thread; auth and enrol go through
-//! admission control into the batch queue, or come straight back as
-//! typed `Overloaded` responses when the tenant's queue is full.
+//! The I/O thread blocks in one `poll(2)` per round (the private `poll`
+//! module; the workspace is zero-dependency, so no epoll crate). The poll
+//! set is the listener (until shutdown), every connection — readable
+//! unless it is closing, writable while it holds unwritten bytes — and
+//! the read half of a wake channel. The batcher writes one byte into
+//! the channel after each flush, once that flush's last response is in
+//! its outbox, so a whole batch reaches a connection in one write; a
+//! shutdown writes it too. The loop acts only on the descriptors poll
+//! reports ready, and sleeps for as long as nothing is: the timeout is
+//! the next `--prom-out` rewrite, the rest of the shutdown grace while
+//! draining, or a paused listener's retry, and otherwise infinite. An
+//! idle daemon without `--prom-out` therefore makes no system calls
+//! between requests.
+//!
+//! Poll is level-triggered, so three states would make it spin, and
+//! the loop avoids each: a closing connection with nothing to write
+//! stays out of the set until the wake brings its last decisions
+//! (`POLLHUP` is reported whatever the set asks for); a persistent
+//! `accept(2)` failure such as `EMFILE` takes the listener out of the
+//! set until a connection closes or a back-off passes; and every wake
+//! drains the channel.
+//!
+//! Fast-path requests (ping, shutdown, stats) are answered directly on
+//! the I/O thread; auth, enrol and identify go through admission
+//! control into the batch queue, or come straight back as typed
+//! `Overloaded` responses when the tenant's queue is full.
 //!
 //! A connection whose stream produces a protocol error is sent one
 //! final `Error` response and closed: a length-prefixed stream that has
@@ -27,6 +45,7 @@
 
 use crate::batcher;
 use crate::config::ServeConfig;
+use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::protocol::{
     decode_request, encode_response, split_frame, Opcode, Request, Response, Status,
 };
@@ -36,14 +55,12 @@ use echoimage_core::features::ImageFeatures;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long the I/O loop sleeps when a poll round moved no bytes.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
 /// Grace period after shutdown for draining queued work and unwritten
 /// responses before the loop exits anyway.
@@ -51,6 +68,13 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// How often the `prom_out` exposition file is rewritten.
 const PROM_INTERVAL: Duration = Duration::from_secs(1);
+
+/// How long the listener stays out of the poll set after a persistent
+/// `accept(2)` failure (`EMFILE`, `ENOBUFS`, …) unless a connection
+/// closes first, and how long the loop waits after a failed `poll(2)`.
+/// A level-triggered listener with a connection it cannot accept
+/// would otherwise report ready on every round.
+const BACKOFF: Duration = Duration::from_millis(100);
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,15 +109,79 @@ pub(crate) struct Shared {
     pub registry: TenantRegistry,
     pub queue: Mutex<VecDeque<Job>>,
     pub cond: Condvar,
-    /// Per-connection queues of fully-encoded response frames. Only the
-    /// I/O thread writes sockets; everyone else appends frames here.
+    /// Per-connection queues of the batcher's encoded response frames.
+    /// Only the I/O thread writes sockets; the batcher appends frames
+    /// here and then calls [`Shared::wake`].
     pub outboxes: Mutex<HashMap<u64, VecDeque<Vec<u8>>>>,
     pub shutdown: AtomicBool,
+    /// The wake channel: [`Shared::wake`] writes `waker`, the I/O
+    /// thread polls `wake_rx`. Both halves live as long as the state,
+    /// so a wake after the I/O thread has exited never meets a closed
+    /// peer.
+    waker: UnixStream,
+    pub wake_rx: UnixStream,
+}
+
+impl Shared {
+    /// Fresh state: no tenants, nothing queued, a drained wake channel.
+    ///
+    /// # Errors
+    ///
+    /// Any [`io::Error`] from creating the wake channel.
+    pub(crate) fn new(cfg: ServeConfig) -> io::Result<Shared> {
+        let (waker, wake_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Shared {
+            cfg,
+            fx: ImageFeatures::new(),
+            registry: TenantRegistry::new(),
+            queue: Mutex::new(VecDeque::new()),
+            cond: Condvar::new(),
+            outboxes: Mutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+            waker,
+            wake_rx,
+        })
+    }
+
+    /// Wakes the I/O thread out of `poll(2)`. The batcher calls this
+    /// once per flush, after the flush's last response is in its
+    /// outbox, and shutdown calls it once.
+    pub(crate) fn wake(&self) {
+        // A full channel (`WouldBlock`) already holds undrained bytes,
+        // and one is all a wake needs.
+        let _ = (&self.waker).write(&[1]);
+    }
 }
 
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
+}
+
+impl Listener {
+    /// `Ok(None)` is a connection that died between `accept()` and
+    /// `set_nonblocking()`: drop it and keep serving.
+    fn accept(&self) -> io::Result<Option<Stream>> {
+        Ok(match self {
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nonblocking(true).ok().map(|()| Stream::Tcp(s))
+            }
+            Listener::Unix(l, _) => {
+                let (s, _) = l.accept()?;
+                s.set_nonblocking(true).ok().map(|()| Stream::Unix(s))
+            }
+        })
+    }
+
+    fn fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        }
+    }
 }
 
 enum Stream {
@@ -115,6 +203,13 @@ impl Stream {
             Stream::Unix(s) => s.write(buf),
         }
     }
+
+    fn fd(&self) -> RawFd {
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
+        }
+    }
 }
 
 struct Conn {
@@ -123,8 +218,97 @@ struct Conn {
     inbuf: Vec<u8>,
     /// Encoded frames (possibly partially written) awaiting the socket.
     pending: Vec<u8>,
+    /// Jobs admitted from this connection whose responses have not yet
+    /// moved from the outbox into `pending`: queued, in a batch, or
+    /// waiting for the wake.
+    awaiting: usize,
     /// Peer closed or errored: stop reading, flush `pending`, drop.
     closing: bool,
+}
+
+impl Conn {
+    fn new(stream: Stream) -> Self {
+        Conn {
+            stream,
+            inbuf: Vec::new(),
+            pending: Vec::new(),
+            awaiting: 0,
+            closing: false,
+        }
+    }
+
+    /// Writes `pending` until it is empty or the socket would block.
+    fn flush(&mut self) {
+        while !self.pending.is_empty() {
+            match self.stream.write(&self.pending) {
+                Ok(0) => {
+                    self.closing = true;
+                    self.pending.clear();
+                }
+                Ok(n) => {
+                    self.pending.drain(..n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.closing = true;
+                    self.pending.clear();
+                }
+            }
+        }
+    }
+
+    /// Reads what the socket holds, then frames and dispatches every
+    /// complete request in `inbuf`.
+    fn read_and_dispatch(&mut self, shared: &Shared, id: u64, buf: &mut [u8]) {
+        loop {
+            match self.stream.read(buf) {
+                Ok(0) => {
+                    self.closing = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.inbuf.extend_from_slice(&buf[..n]);
+                    // A short read emptied the socket; poll reports
+                    // whatever arrives later.
+                    if n < buf.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.closing = true;
+                    break;
+                }
+            }
+        }
+        loop {
+            match split_frame(&self.inbuf) {
+                Ok(Some((payload, used))) => {
+                    let dispatch = handle_payload(shared, id, payload);
+                    self.inbuf.drain(..used);
+                    match dispatch {
+                        Dispatch::Queued => self.awaiting += 1,
+                        Dispatch::Reply(frame) => self.pending.extend_from_slice(&frame),
+                        Dispatch::Close(frame) => {
+                            self.pending.extend_from_slice(&frame);
+                            self.closing = true;
+                            break;
+                        }
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    echo_obs::counter!("serve.protocol_errors").inc();
+                    self.pending
+                        .extend_from_slice(&encode_response(&protocol_error_response(&e)));
+                    self.closing = true;
+                    break;
+                }
+            }
+        }
+    }
 }
 
 /// A running daemon. Dropping the handle shuts the server down and
@@ -141,7 +325,8 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// Any [`io::Error`] from binding the listener or spawning threads.
+    /// Any [`io::Error`] from binding the listener, creating the I/O
+    /// thread's wake channel or spawning threads.
     pub fn start(cfg: ServeConfig, bind: BindAddr) -> io::Result<ServerHandle> {
         let listener = match bind {
             BindAddr::Tcp(addr) => {
@@ -162,15 +347,7 @@ impl ServerHandle {
             Listener::Tcp(l) => Some(l.local_addr()?),
             Listener::Unix(..) => None,
         };
-        let shared = Arc::new(Shared {
-            cfg,
-            fx: ImageFeatures::new(),
-            registry: TenantRegistry::new(),
-            queue: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
-            outboxes: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(cfg)?);
         let io_shared = Arc::clone(&shared);
         let io = std::thread::Builder::new()
             .name("echo-serve-io".into())
@@ -229,6 +406,7 @@ impl ServerHandle {
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.cond.notify_all();
+        self.shared.wake();
         if let Some(h) = self.io.take() {
             let _ = h.join();
         }
@@ -244,178 +422,171 @@ impl Drop for ServerHandle {
     }
 }
 
+/// What one entry of the poll set stands for.
+#[derive(Clone, Copy)]
+enum Slot {
+    Wake,
+    Listener,
+    Conn(u64),
+}
+
 fn io_loop(shared: &Shared, listener: Listener) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn: u64 = 1;
     let mut read_buf = [0u8; 64 * 1024];
     let mut shutdown_at: Option<Instant> = None;
     let mut prom_due = Instant::now();
+    // Set while a persistent accept failure keeps the listener out of
+    // the poll set.
+    let mut accept_paused_until: Option<Instant> = None;
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut slots: Vec<Slot> = Vec::new();
+    let mut answered: Vec<u64> = Vec::new();
 
     loop {
+        let now = Instant::now();
+        // The earliest moment this round's poll must return by.
+        let mut deadline: Option<Instant> = None;
         // Periodic Prometheus exposition: rewrite the scrape file about
         // once a second, off the request path (a render costs tens of
-        // microseconds against a 500 µs idle tick).
+        // microseconds, and the poll timeout wakes the loop for it).
         if let Some(path) = &shared.cfg.prom_out {
-            if Instant::now() >= prom_due {
-                prom_due = Instant::now() + PROM_INTERVAL;
+            if now >= prom_due {
+                prom_due = now + PROM_INTERVAL;
                 write_prometheus(path);
             }
+            deadline = Some(prom_due);
         }
-        let shutting_down = shared.shutdown.load(Ordering::Relaxed);
-        let mut moved = false;
-
-        // Accept — unless we're draining for shutdown.
-        if !shutting_down {
-            loop {
-                let accepted = match &listener {
-                    Listener::Tcp(l) => l
-                        .accept()
-                        .map(|(s, _)| s.set_nonblocking(true).map(|()| Stream::Tcp(s))),
-                    Listener::Unix(l, _) => l
-                        .accept()
-                        .map(|(s, _)| s.set_nonblocking(true).map(|()| Stream::Unix(s))),
-                };
-                match accepted {
-                    Ok(Ok(stream)) => {
-                        let id = next_conn;
-                        next_conn += 1;
-                        conns.insert(
-                            id,
-                            Conn {
-                                stream,
-                                inbuf: Vec::new(),
-                                pending: Vec::new(),
-                                closing: false,
-                            },
-                        );
-                        shared.outboxes.lock().unwrap().insert(id, VecDeque::new());
-                        moved = true;
-                    }
-                    // A connection that died between accept() and
-                    // set_nonblocking(): drop it, keep serving.
-                    Ok(Err(_)) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-        }
-
-        // Read, frame, dispatch.
-        let mut dead: Vec<u64> = Vec::new();
-        for (&id, conn) in conns.iter_mut() {
-            if !conn.closing {
-                loop {
-                    match conn.stream.read(&mut read_buf) {
-                        Ok(0) => {
-                            conn.closing = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.inbuf.extend_from_slice(&read_buf[..n]);
-                            moved = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            conn.closing = true;
-                            break;
-                        }
-                    }
-                }
-                loop {
-                    match split_frame(&conn.inbuf) {
-                        Ok(Some((payload, used))) => {
-                            let frames = handle_payload(shared, id, payload);
-                            conn.inbuf.drain(..used);
-                            match frames {
-                                Ok(()) => {}
-                                Err(frame) => {
-                                    conn.pending.extend_from_slice(&frame);
-                                    conn.closing = true;
-                                    break;
-                                }
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            echo_obs::counter!("serve.protocol_errors").inc();
-                            conn.pending
-                                .extend_from_slice(&encode_response(&protocol_error_response(&e)));
-                            conn.closing = true;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Move finished responses from the outbox into the write
-            // buffer, then push bytes.
-            {
-                let mut ob = shared.outboxes.lock().unwrap();
-                if let Some(q) = ob.get_mut(&id) {
-                    while let Some(f) = q.pop_front() {
-                        conn.pending.extend_from_slice(&f);
-                    }
-                }
-            }
-            while !conn.pending.is_empty() {
-                match conn.stream.write(&conn.pending) {
-                    Ok(0) => {
-                        conn.closing = true;
-                        conn.pending.clear();
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.pending.drain(..n);
-                        moved = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.closing = true;
-                        conn.pending.clear();
-                        break;
-                    }
-                }
-            }
-
-            if conn.closing && conn.pending.is_empty() {
-                // Don't cut the connection while decisions for it are
-                // still queued or in flight.
-                let has_queued = shared.queue.lock().unwrap().iter().any(|j| j.conn == id)
-                    || !shared
-                        .outboxes
-                        .lock()
-                        .unwrap()
-                        .get(&id)
-                        .is_none_or(|q| q.is_empty());
-                if !has_queued {
-                    dead.push(id);
-                }
-            }
-        }
-        for id in dead {
-            conns.remove(&id);
-            shared.outboxes.lock().unwrap().remove(&id);
-        }
-
-        if shutting_down {
-            let deadline = *shutdown_at.get_or_insert_with(Instant::now) + SHUTDOWN_GRACE;
-            let queue_empty = shared.queue.lock().unwrap().is_empty();
-            let outboxes_empty = shared
-                .outboxes
-                .lock()
-                .unwrap()
+        let draining = shared.shutdown.load(Ordering::Relaxed);
+        if draining {
+            let grace_end = *shutdown_at.get_or_insert(now) + SHUTDOWN_GRACE;
+            // A connection stays open while it awaits a decision, so
+            // when none awaits one or holds unwritten bytes, the queue
+            // and the outboxes are empty too.
+            let drained = conns
                 .values()
-                .all(|q| q.is_empty());
-            let pending_empty = conns.values().all(|c| c.pending.is_empty());
-            if (queue_empty && outboxes_empty && pending_empty) || Instant::now() >= deadline {
+                .all(|c| c.awaiting == 0 && c.pending.is_empty());
+            if drained || now >= grace_end {
                 break;
             }
+            deadline = Some(deadline.map_or(grace_end, |d| d.min(grace_end)));
+        }
+        if accept_paused_until.is_some_and(|t| now >= t) {
+            accept_paused_until = None;
         }
 
-        if !moved {
-            std::thread::sleep(IDLE_SLEEP);
+        fds.clear();
+        slots.clear();
+        fds.push(PollFd::new(shared.wake_rx.as_raw_fd(), POLLIN));
+        slots.push(Slot::Wake);
+        if !draining {
+            match accept_paused_until {
+                None => {
+                    fds.push(PollFd::new(listener.fd(), POLLIN));
+                    slots.push(Slot::Listener);
+                }
+                Some(t) => deadline = Some(deadline.map_or(t, |d| d.min(t))),
+            }
+        }
+        for (&id, conn) in &conns {
+            let mut events = 0;
+            if !conn.closing {
+                events |= POLLIN;
+            }
+            if !conn.pending.is_empty() {
+                events |= POLLOUT;
+            }
+            // A closing connection with nothing to write waits off the
+            // set for the wake that brings its last decisions.
+            if events != 0 {
+                fds.push(PollFd::new(conn.stream.fd(), events));
+                slots.push(Slot::Conn(id));
+            }
+        }
+        let timeout = deadline.map(|d| d.saturating_duration_since(now));
+        if poll::wait(&mut fds, timeout).is_err() {
+            std::thread::sleep(BACKOFF);
+            continue;
+        }
+
+        let mut woke = false;
+        for (pfd, slot) in fds.iter().zip(&slots) {
+            if pfd.revents == 0 {
+                continue;
+            }
+            match *slot {
+                Slot::Wake => {
+                    drain_wake(&shared.wake_rx);
+                    woke = true;
+                }
+                Slot::Listener => loop {
+                    match listener.accept() {
+                        Ok(Some(stream)) => {
+                            let id = next_conn;
+                            next_conn += 1;
+                            conns.insert(id, Conn::new(stream));
+                            shared.outboxes.lock().unwrap().insert(id, VecDeque::new());
+                        }
+                        Ok(None) => {}
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                            ) => {}
+                        Err(_) => {
+                            echo_obs::counter!("serve.accept_errors").inc();
+                            accept_paused_until = Some(Instant::now() + BACKOFF);
+                            break;
+                        }
+                    }
+                },
+                Slot::Conn(id) => {
+                    let conn = conns.get_mut(&id).expect("polled connection is live");
+                    if !conn.closing && pfd.revents & (POLLIN | POLLHUP | POLLERR) != 0 {
+                        conn.read_and_dispatch(shared, id, &mut read_buf);
+                    }
+                    // Inline replies are written at once; so are bytes
+                    // an earlier round left behind, once poll says the
+                    // socket takes them (or that it failed).
+                    conn.flush();
+                }
+            }
+        }
+
+        if woke {
+            // Each outbox frame answers one admitted job. Move them all
+            // under the lock, then write outside it: the whole flush
+            // reaches each connection in one write.
+            answered.clear();
+            for (&id, q) in shared.outboxes.lock().unwrap().iter_mut() {
+                if let Some(conn) = conns.get_mut(&id).filter(|_| !q.is_empty()) {
+                    conn.awaiting = conn.awaiting.saturating_sub(q.len());
+                    for f in q.drain(..) {
+                        conn.pending.extend_from_slice(&f);
+                    }
+                    answered.push(id);
+                }
+            }
+            for id in &answered {
+                conns
+                    .get_mut(id)
+                    .expect("answered connection is live")
+                    .flush();
+            }
+        }
+
+        let before = conns.len();
+        conns.retain(|id, c| {
+            let done = c.closing && c.pending.is_empty() && c.awaiting == 0;
+            if done {
+                shared.outboxes.lock().unwrap().remove(id);
+            }
+            !done
+        });
+        if conns.len() < before {
+            // A descriptor was freed: retry a listener paused on EMFILE.
+            accept_paused_until = None;
         }
     }
 
@@ -426,6 +597,19 @@ fn io_loop(shared: &Shared, listener: Listener) {
     // run.
     if let Some(path) = &shared.cfg.prom_out {
         write_prometheus(path);
+    }
+}
+
+/// Reads the wake channel empty. Level-triggered poll would report an
+/// undrained byte on every round.
+fn drain_wake(mut wake_rx: &UnixStream) {
+    let mut buf = [0u8; 64];
+    loop {
+        match wake_rx.read(&mut buf) {
+            Ok(n) if n == buf.len() => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            _ => break,
+        }
     }
 }
 
@@ -443,16 +627,24 @@ fn write_prometheus(path: &std::path::Path) {
     }
 }
 
+/// What the I/O thread does with one frame's request.
+enum Dispatch {
+    /// Answered inline on the I/O thread: write this frame.
+    Reply(Vec<u8>),
+    /// Admitted to the batch queue; the response comes back through the
+    /// connection's outbox.
+    Queued,
+    /// Write this final frame, then close the connection.
+    Close(Vec<u8>),
+}
+
 /// Handles one decoded-or-not frame payload from connection `conn`.
-/// `Ok(())` means any response was routed through the outbox/queue;
-/// `Err(frame)` carries a final response after which the connection
-/// must close.
-fn handle_payload(shared: &Shared, conn: u64, payload: &[u8]) -> Result<(), Vec<u8>> {
+fn handle_payload(shared: &Shared, conn: u64, payload: &[u8]) -> Dispatch {
     let req = match decode_request(payload) {
         Ok(r) => r,
         Err(e) => {
             echo_obs::counter!("serve.protocol_errors").inc();
-            return Err(encode_response(&protocol_error_response(&e)));
+            return Dispatch::Close(encode_response(&protocol_error_response(&e)));
         }
     };
     echo_obs::counter!("serve.requests").inc();
@@ -460,68 +652,29 @@ fn handle_payload(shared: &Shared, conn: u64, payload: &[u8]) -> Result<(), Vec<
     span.attr_u64("tenant", req.tenant);
     span.attr_u64("request_id", req.request_id);
     span.attr_str("op", req.op.label());
-    match req.op {
-        Opcode::Ping => {
-            push_response(
-                shared,
-                conn,
-                &Response {
-                    op: Opcode::Ping,
-                    request_id: req.request_id,
-                    status: Status::Ok,
-                    user_id: 0,
-                    trace_id: span.ctx().trace_id(),
-                    reason: String::new(),
-                    stats: None,
-                },
-            );
-        }
+    let stats = match req.op {
+        Opcode::Ping => None,
         Opcode::Shutdown => {
             shared.shutdown.store(true, Ordering::Relaxed);
             shared.cond.notify_all();
-            push_response(
-                shared,
-                conn,
-                &Response {
-                    op: Opcode::Shutdown,
-                    request_id: req.request_id,
-                    status: Status::Ok,
-                    user_id: 0,
-                    trace_id: span.ctx().trace_id(),
-                    reason: String::new(),
-                    stats: None,
-                },
-            );
+            None
         }
-        Opcode::Stats => {
-            // Answered inline on the I/O thread, like ping: a stats
-            // poll reads windows and gauges only and must never wait
-            // behind the batcher.
-            let filter = (req.tenant != u64::MAX).then_some(req.tenant);
-            let report = crate::stats::collect(filter);
-            push_response(
-                shared,
-                conn,
-                &Response {
-                    op: Opcode::Stats,
-                    request_id: req.request_id,
-                    status: Status::Ok,
-                    user_id: 0,
-                    trace_id: span.ctx().trace_id(),
-                    reason: String::new(),
-                    stats: Some(report),
-                },
-            );
-        }
+        // Answered inline on the I/O thread, like ping: a stats poll
+        // reads windows and gauges only and must never wait behind the
+        // batcher.
+        Opcode::Stats => Some(crate::stats::collect(
+            (req.tenant != u64::MAX).then_some(req.tenant),
+        )),
         Opcode::Auth | Opcode::Enroll | Opcode::Identify => {
-            match shared
+            return match shared
                 .registry
                 .try_admit(req.tenant, shared.cfg.queue_bound)
             {
-                Err(queued) => {
-                    let resp = batcher::shed(&req, span.ctx().trace_id(), queued);
-                    push_response(shared, conn, &resp);
-                }
+                Err(queued) => Dispatch::Reply(encode_response(&batcher::shed(
+                    &req,
+                    span.ctx().trace_id(),
+                    queued,
+                ))),
                 Ok(()) => {
                     let queue_wait = Some(span.ctx().child("serve.queue_wait"));
                     let mut q = shared.queue.lock().unwrap();
@@ -535,18 +688,20 @@ fn handle_payload(shared: &Shared, conn: u64, payload: &[u8]) -> Result<(), Vec<
                     echo_obs::gauge!("serve.queue_depth").set(q.len() as i64);
                     drop(q);
                     shared.cond.notify_one();
+                    Dispatch::Queued
                 }
-            }
+            };
         }
-    }
-    Ok(())
-}
-
-fn push_response(shared: &Shared, conn: u64, resp: &Response) {
-    let mut ob = shared.outboxes.lock().unwrap();
-    if let Some(q) = ob.get_mut(&conn) {
-        q.push_back(encode_response(resp));
-    }
+    };
+    Dispatch::Reply(encode_response(&Response {
+        op: req.op,
+        request_id: req.request_id,
+        status: Status::Ok,
+        user_id: 0,
+        trace_id: span.ctx().trace_id(),
+        reason: String::new(),
+        stats,
+    }))
 }
 
 fn protocol_error_response(e: &crate::protocol::ProtocolError) -> Response {

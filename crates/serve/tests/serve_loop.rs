@@ -1,6 +1,7 @@
 //! Functional integration tests for the daemon: wire round-trips over
-//! both transports, typed overload shedding, and enrol-while-
-//! authenticate consistency.
+//! both transports, typed overload shedding, enrol-while-authenticate
+//! consistency, and how a connection closes (half-closed clients and
+//! protocol errors).
 //!
 //! These tests share the process-global observability state with each
 //! other (integration tests in one binary run on parallel threads), so
@@ -11,9 +12,13 @@
 
 use echo_serve::config::ServeConfig;
 use echo_serve::loadgen::synth_image;
-use echo_serve::protocol::{Opcode, Request, Status};
+use echo_serve::protocol::{
+    decode_response, encode_request, split_frame, Opcode, Request, Response, Status,
+};
 use echo_serve::server::{BindAddr, ServerHandle};
 use echo_serve::Client;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 fn enroll(client: &mut Client, tenant: u64, user: u64, images: usize) {
@@ -284,5 +289,64 @@ fn enrol_while_authenticating_never_errors() {
             resp.reason
         );
     }
+    server.shutdown();
+}
+
+/// Reads `stream` until the server closes it and decodes every frame.
+fn responses_until_close(stream: &mut TcpStream) -> Vec<Response> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut bytes = Vec::new();
+    stream
+        .read_to_end(&mut bytes)
+        .expect("read until the server closes");
+    let mut rest = &bytes[..];
+    let mut out = Vec::new();
+    while let Some((payload, used)) = split_frame(rest).expect("well-formed frame") {
+        out.push(decode_response(payload).expect("decodable response"));
+        rest = &rest[used..];
+    }
+    assert!(rest.is_empty(), "{} trailing bytes", rest.len());
+    out
+}
+
+#[test]
+fn half_closed_client_gets_every_decision_before_the_close() {
+    // The client writes three requests and half-closes at once, so the
+    // server reads EOF while the decisions are still queued or in a
+    // batch: the connection must stay open until they are written.
+    let server = ServerHandle::start(ServeConfig::default(), BindAddr::Tcp("127.0.0.1:0".into()))
+        .expect("bind tcp socket");
+    let mut raw = TcpStream::connect(server.local_addr().expect("tcp addr")).expect("connect");
+    for rid in 0..3u64 {
+        raw.write_all(&encode_request(&auth_request(66, 1, rid, rid * 8)))
+            .expect("send");
+    }
+    raw.shutdown(Shutdown::Write).expect("half-close");
+    let resps = responses_until_close(&mut raw);
+    let ids: Vec<u64> = resps.iter().map(|r| r.request_id).collect();
+    assert_eq!(ids, vec![0, 1, 2]);
+    // Nobody enrolled in tenant 66: each one is decided as a typed error.
+    assert!(resps.iter().all(|r| r.status == Status::Error));
+    server.shutdown();
+}
+
+#[test]
+fn protocol_error_gets_one_error_frame_then_the_close() {
+    let server = ServerHandle::start(ServeConfig::default(), BindAddr::Tcp("127.0.0.1:0".into()))
+        .expect("bind tcp socket");
+    let mut raw = TcpStream::connect(server.local_addr().expect("tcp addr")).expect("connect");
+    // A length prefix far past the frame cap, and nothing after it: the
+    // server reads every byte before it closes.
+    raw.write_all(&[0xFF; 4]).expect("send");
+    let resps = responses_until_close(&mut raw);
+    assert_eq!(resps.len(), 1);
+    assert_eq!(resps[0].status, Status::Error);
+    assert!(
+        resps[0].reason.contains("protocol error"),
+        "{}",
+        resps[0].reason
+    );
     server.shutdown();
 }

@@ -65,8 +65,43 @@ pub fn estimate_distance(
     array: &MicArray,
     config: &PipelineConfig,
 ) -> Result<DistanceEstimate, EchoImageError> {
+    check_train(captures, array)?;
     let analytic: Vec<Vec<Vec<Complex>>> = captures.iter().map(analytic_channels).collect();
-    estimate_from_analytic(captures, &analytic, array, config, TraceCtx::none())
+    let cov = resolve_covariance(captures, array, config);
+    estimate_from_analytic(captures, &analytic, &cov, array, config, TraceCtx::none())
+}
+
+/// The shape checks ranging needs before any covariance or estimate is
+/// computed: at least one capture, every capture of one shape and rate,
+/// one channel per microphone, and at least one sample.
+///
+/// # Errors
+///
+/// [`EchoImageError::NoCaptures`],
+/// [`EchoImageError::InconsistentCaptures`], or
+/// [`EchoImageError::InvalidParameter`] for a channel-count mismatch or
+/// empty captures.
+pub(crate) fn check_train(
+    captures: &[BeepCapture],
+    array: &MicArray,
+) -> Result<(), EchoImageError> {
+    let first = captures.first().ok_or(EchoImageError::NoCaptures)?;
+    let (fs, n, m) = (first.sample_rate(), first.len(), first.num_channels());
+    if captures
+        .iter()
+        .any(|c| c.len() != n || c.num_channels() != m || c.sample_rate() != fs)
+    {
+        return Err(EchoImageError::InconsistentCaptures);
+    }
+    if m != array.len() {
+        return Err(EchoImageError::InvalidParameter(
+            "array geometry does not match the capture channel count",
+        ));
+    }
+    if n == 0 {
+        return Err(EchoImageError::InvalidParameter("captures hold no samples"));
+    }
+    Ok(())
 }
 
 /// The per-channel analytic signals of one band-passed capture: the
@@ -92,37 +127,25 @@ pub(crate) fn analytic_channels(capture: &BeepCapture) -> Vec<Vec<Complex>> {
 }
 
 /// [`estimate_distance`] over analytic signals already computed by
-/// [`analytic_channels`] (`analytic[l]` belongs to `captures[l]`),
-/// recording a `stage.distance` trace span under `ctx` (template-cache
-/// hit flag, estimated horizontal distance). The estimator runs on the
-/// serial coordinating path, so the cache-hit attribute is
-/// deterministic for a fixed workload and cache state.
+/// [`analytic_channels`] (`analytic[l]` belongs to `captures[l]`) and
+/// the train's noise covariance from [`resolve_covariance`], for
+/// captures that passed [`check_train`]. Records a `stage.distance`
+/// trace span under `ctx` (template-cache hit flag, estimated
+/// horizontal distance). The estimator runs on the serial coordinating
+/// path, so the cache-hit attribute is deterministic for a fixed
+/// workload and cache state.
 pub(crate) fn estimate_from_analytic(
     captures: &[BeepCapture],
     analytic: &[Vec<Vec<Complex>>],
+    cov: &SpatialCovariance,
     array: &MicArray,
     config: &PipelineConfig,
     ctx: TraceCtx,
 ) -> Result<DistanceEstimate, EchoImageError> {
-    let first = captures.first().ok_or(EchoImageError::NoCaptures)?;
-    let fs = first.sample_rate();
-    let n = first.len();
-    let m = first.num_channels();
-    if captures
-        .iter()
-        .any(|c| c.len() != n || c.num_channels() != m || c.sample_rate() != fs)
-    {
-        return Err(EchoImageError::InconsistentCaptures);
-    }
-    if m != array.len() {
-        return Err(EchoImageError::InvalidParameter(
-            "array geometry does not match the capture channel count",
-        ));
-    }
-    if n == 0 {
-        return Err(EchoImageError::InvalidParameter("captures hold no samples"));
-    }
+    debug_assert!(check_train(captures, array).is_ok());
     debug_assert_eq!(analytic.len(), captures.len());
+    let first = &captures[0];
+    let (fs, n) = (first.sample_rate(), first.len());
     let _span = echo_obs::span!("stage.distance");
     let mut tspan = ctx.child("stage.distance");
     tspan.attr_u64("beeps", captures.len() as u64);
@@ -145,8 +168,7 @@ pub(crate) fn estimate_from_analytic(
     // preroll gives a far stabler estimate than any single 10 ms window,
     // and the paper's ρ_n is likewise a single background-noise
     // statistic, not a per-beep one.
-    let cov = resolve_covariance(captures, array, config);
-    let weights = mvdr_weights(&cov, &steering)?;
+    let weights = mvdr_weights(cov, &steering)?;
 
     // Accumulate E(t) = (1/L) Σ |E_l(t)|² (Eq. 10). The envelope is read
     // well inside the capture, where the padded analytic signal tracks

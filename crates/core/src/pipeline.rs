@@ -130,10 +130,16 @@ impl EchoImagePipeline {
     }
 
     /// Band-passes every channel to the probing band (zero-phase, so
-    /// echo timing is unaffected).
+    /// echo timing is unaffected). All channels go through the cascade
+    /// together, in SIMD lanes, bit-identical to filtering each channel
+    /// on its own ([`SosFilter::filtfilt_channels`]).
     pub fn preprocess(&self, capture: &BeepCapture) -> BeepCapture {
         let _span = echo_obs::span!("stage.preprocess");
-        capture.map_channels(|ch| self.bandpass.filtfilt(ch))
+        BeepCapture::new(
+            self.bandpass.filtfilt_channels(capture.channels()),
+            capture.sample_rate(),
+            capture.preroll(),
+        )
     }
 
     /// Estimates the user–array distance from raw captures
@@ -241,17 +247,20 @@ impl EchoImagePipeline {
             })
             .into_iter()
             .unzip();
+        // One covariance for the whole train, shared by ranging and
+        // every imaging plane, keeps the MVDR weights identical across
+        // beeps, so image variation reflects the user, not the
+        // covariance estimator.
+        crate::distance::check_train(&filtered, &self.array)?;
+        let cov = crate::distance::resolve_covariance(&filtered, &self.array, &self.config);
         let estimate = crate::distance::estimate_from_analytic(
             &filtered,
             &analytic,
+            &cov,
             &self.array,
             &self.config,
             ctx,
         )?;
-        // One covariance for the whole train keeps the MVDR weights
-        // identical across beeps, so image variation reflects the user,
-        // not the covariance estimator.
-        let cov = crate::distance::resolve_covariance(&filtered, &self.array, &self.config);
         let mut planes = vec![estimate.horizontal_distance];
         planes.extend(
             plane_offsets
@@ -408,6 +417,29 @@ mod tests {
         let clean = echo_dsp::stats::energy(&filtered.noise_segments()[0][..half]);
         assert!(clean < raw * 0.05, "raw {raw}, filtered {clean}");
         assert_eq!(filtered.preroll(), cap.preroll());
+    }
+
+    #[test]
+    fn preprocess_is_per_channel_filtfilt_bit_for_bit() {
+        let scene = Scene::new(SceneConfig::laboratory_quiet(5));
+        let cap = scene.capture_beep(
+            &BodyModel::from_seed(3),
+            &Placement::standing_front(0.7),
+            0,
+            0,
+        );
+        let p = pipeline();
+        let filtered = p.preprocess(&cap);
+        assert_eq!(filtered.sample_rate(), cap.sample_rate());
+        assert_eq!(filtered.num_channels(), cap.num_channels());
+        for (got, raw) in filtered.channels().iter().zip(cap.channels()) {
+            let want = p.bandpass.filtfilt(raw);
+            assert!(got
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(got.len(), want.len());
+        }
     }
 
     #[test]

@@ -102,6 +102,7 @@ impl SosFilter {
     /// # Panics
     ///
     /// Panics if `order == 0` or `fc` is not in `(0, fs/2)`.
+    #[cfg(test)]
     pub fn butterworth_highpass(order: usize, fc: f64, fs: f64) -> Self {
         assert!(order > 0, "filter order must be at least 1");
         check_edge(fc, fs);
@@ -163,14 +164,7 @@ impl SosFilter {
 
     /// Processes one sample through the cascade, updating state.
     pub fn process(&mut self, x: f64) -> f64 {
-        let mut v = x;
-        for (sec, st) in self.sections.iter().zip(self.state.iter_mut()) {
-            let y = sec.b0 * v + st[0];
-            st[0] = sec.b1 * v - sec.a1 * y + st[1];
-            st[1] = sec.b2 * v - sec.a2 * y;
-            v = y;
-        }
-        v
+        cascade(&self.sections, &mut self.state, x)
     }
 
     /// Filters a whole signal starting from zero state (the instance state
@@ -191,6 +185,16 @@ impl SosFilter {
         z
     }
 
+    /// [`SosFilter::filtfilt`] of every channel of a multichannel
+    /// signal, bit-identical channel by channel. The cascade runs over
+    /// the channels in SIMD lanes ([`crate::simd::sos_filtfilt`]), which
+    /// is why a beep's channels are filtered in one call.
+    pub fn filtfilt_channels(&self, channels: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let mut out = channels.to_vec();
+        crate::simd::sos_filtfilt(&self.sections, &mut out);
+        out
+    }
+
     /// Complex frequency response at `f` Hz for sample rate `fs`.
     pub fn response_at(&self, f: f64, fs: f64) -> Complex {
         let w = 2.0 * std::f64::consts::PI * f / fs;
@@ -208,6 +212,22 @@ impl SosFilter {
     pub fn is_stable(&self) -> bool {
         self.sections.iter().all(Biquad::is_stable)
     }
+}
+
+/// One sample through the cascade `sections` in transposed direct form
+/// II, updating `state` (one `[s1, s2]` pair per section). Every
+/// filtering path runs this arithmetic; the AVX2 lane kernel does the
+/// same operations in the same order per lane.
+#[inline]
+pub(crate) fn cascade(sections: &[Biquad], state: &mut [[f64; 2]], x: f64) -> f64 {
+    let mut v = x;
+    for (sec, st) in sections.iter().zip(state.iter_mut()) {
+        let y = sec.b0 * v + st[0];
+        st[0] = sec.b1 * v - sec.a1 * y + st[1];
+        st[1] = sec.b2 * v - sec.a2 * y;
+        v = y;
+    }
+    v
 }
 
 /// Butterworth analog prototype poles (unit cutoff), all in the left

@@ -20,6 +20,11 @@
 //! The only algebraic licences taken are addition commutativity
 //! (`a*d + b*c` vs `b*c + a*d` in the complex product) and
 //! `x − (−y) ≡ x + y`, both of which are IEEE-754 rounding-exact.
+//! The "elements" may be whole channels — [`sos_filtfilt`] gives each
+//! lane one channel's serial cascade — and a kernel may reorder work
+//! that does not depend on itself — [`radix2_stages_with`] fuses and
+//! pairs FFT stages, so independent butterflies run in another order,
+//! each with its own twiddle and operations unchanged.
 //! Consequently scalar and AVX2 runs of the full pipeline produce
 //! bit-identical features, audits and traces, and the oracle tests can
 //! keep asserting `to_bits` equality. The ULP-bounded property suite
@@ -49,6 +54,7 @@
 //! pairs is layout-sound.
 
 use crate::complex::Complex;
+use crate::filter::Biquad;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Environment variable selecting the SIMD path: `auto`, `scalar` or
@@ -215,20 +221,66 @@ macro_rules! dispatch {
     };
 }
 
-/// One radix-2 butterfly pass: `lo[i], hi[i] ← lo[i] + hi[i]·tw[i],
-/// lo[i] − hi[i]·tw[i]`.
+/// The butterfly stages of an in-place radix-2 FFT whose input is
+/// already in bit-reversed order, on an explicit path (an
+/// [`FftPlan`](crate::plan::FftPlan) resolves the path once per
+/// transform).
+///
+/// Stage `s` pairs `lo = chunk[j]` with `hi = chunk[j + 2^s]` in every
+/// chunk of `2^(s+1)` points and sets `lo, hi ← lo + hi·w, lo − hi·w`
+/// with `w = twiddles[s][j]`, for `j < 2^s`. Each butterfly is the
+/// unplanned loop's — same twiddle value, same complex product, same
+/// add and subtract — so the output is bit-identical to running the
+/// stages one after another; only the order of independent butterflies
+/// differs. The whole stage loop runs inside one kernel call: the
+/// length-2 and length-4 stages are fused into one pass over groups of
+/// four points, and the AVX2 path then runs two stages per pass with
+/// each group of four points held in registers.
+///
+/// # Panics
+///
+/// Panics unless `data.len() == 2^twiddles.len()` and every
+/// `twiddles[s]` holds at least `2^s` factors.
 #[inline]
-pub fn butterfly_pass(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
-    butterfly_pass_with(active(), lo, hi, tw);
-}
-
-/// [`butterfly_pass`] on an explicit path.
-#[inline]
-pub fn butterfly_pass_with(path: SimdPath, lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
+pub fn radix2_stages_with(path: SimdPath, data: &mut [Complex], twiddles: &[Vec<Complex>]) {
+    assert!(
+        twiddles.len() < usize::BITS as usize && data.len() == 1 << twiddles.len(),
+        "radix-2 stages need 2^stages points"
+    );
+    for (s, tw) in twiddles.iter().enumerate() {
+        assert!(tw.len() >= 1 << s, "twiddle table of stage {s} is short");
+    }
     dispatch!(
         path,
-        scalar::butterfly_pass(lo, hi, tw),
-        avx2::butterfly_pass(lo, hi, tw)
+        scalar::radix2_stages(data, twiddles),
+        avx2::radix2_stages(data, twiddles)
+    );
+}
+
+/// Zero-phase filtering of several channels in place: each channel runs
+/// through the biquad cascade `sections` forward from zero state, then
+/// backward from zero state, bit-identical to
+/// [`SosFilter::filtfilt`](crate::filter::SosFilter::filtfilt) on that
+/// channel alone.
+///
+/// The recursion is serial along each channel, so the AVX2 path
+/// vectorises across channels instead: up to four channels of equal
+/// length share one vector, one channel per lane (4 + 2 for a six-mic
+/// array), and each lane does the scalar cascade's multiplies, adds and
+/// subtracts in the scalar order. Lanes are read from and written back
+/// to the channels themselves; no interleaved copy is made.
+#[inline]
+pub fn sos_filtfilt(sections: &[Biquad], channels: &mut [Vec<f64>]) {
+    sos_filtfilt_with(active(), sections, channels);
+}
+
+/// [`sos_filtfilt`] on an explicit path.
+#[inline]
+pub fn sos_filtfilt_with(path: SimdPath, sections: &[Biquad], channels: &mut [Vec<f64>]) {
+    dispatch!(
+        path,
+        scalar::sos_filtfilt(sections, channels),
+        avx2::sos_filtfilt(sections, channels)
     );
 }
 
@@ -551,15 +603,73 @@ fn beam_operands<'a>(
 // ─────────────────────────── scalar kernels ───────────────────────────
 
 mod scalar {
-    use super::Complex;
+    use super::{Biquad, Complex};
+    use crate::filter::cascade;
 
+    /// One radix-2 butterfly: `a, b ← a + b·w, a − b·w`.
+    #[inline(always)]
+    fn butterfly(a: &mut Complex, b: &mut Complex, w: Complex) {
+        let u = *a;
+        let v = *b * w;
+        *a = u + v;
+        *b = u - v;
+    }
+
+    /// One radix-2 stage over paired halves: `lo[i], hi[i] ←
+    /// lo[i] + hi[i]·tw[i], lo[i] − hi[i]·tw[i]`.
     #[inline]
     pub fn butterfly_pass(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
         for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw.iter()) {
-            let u = *a;
-            let v = *b * w;
-            *a = u + v;
-            *b = u - v;
+            butterfly(a, b, w);
+        }
+    }
+
+    /// See [`super::radix2_stages_with`]; the caller has checked the
+    /// table shapes. The length-2 and length-4 stages run fused over
+    /// each group of four points, then one stage at a time.
+    #[inline]
+    pub fn radix2_stages(data: &mut [Complex], twiddles: &[Vec<Complex>]) {
+        match twiddles.len() {
+            0 => {}
+            1 => {
+                let [a, b] = data else { unreachable!() };
+                butterfly(a, b, twiddles[0][0]);
+            }
+            _ => {
+                let w1 = twiddles[0][0];
+                let (w2a, w2b) = (twiddles[1][0], twiddles[1][1]);
+                for q in data.chunks_exact_mut(4) {
+                    let [x0, x1, x2, x3] = q else { unreachable!() };
+                    butterfly(x0, x1, w1);
+                    butterfly(x2, x3, w1);
+                    butterfly(x0, x2, w2a);
+                    butterfly(x1, x3, w2b);
+                }
+                for (s, tw) in twiddles.iter().enumerate().skip(2) {
+                    let half = 1 << s;
+                    for chunk in data.chunks_exact_mut(2 * half) {
+                        let (lo, hi) = chunk.split_at_mut(half);
+                        butterfly_pass(lo, hi, &tw[..half]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Each channel through the cascade forward, then backward, each
+    /// pass from zero state.
+    #[inline]
+    pub fn sos_filtfilt(sections: &[Biquad], channels: &mut [Vec<f64>]) {
+        let mut state = vec![[0.0; 2]; sections.len()];
+        for ch in channels {
+            state.fill([0.0; 2]);
+            for v in ch.iter_mut() {
+                *v = cascade(sections, &mut state, *v);
+            }
+            state.fill([0.0; 2]);
+            for v in ch.iter_mut().rev() {
+                *v = cascade(sections, &mut state, *v);
+            }
         }
     }
 
@@ -750,7 +860,7 @@ mod scalar {
 /// dispatch wrappers above, strictly after a runtime CPU check.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{scalar, Complex};
+    use super::{scalar, Biquad, Complex};
     use std::arch::x86_64::*;
 
     /// Two `Complex` values per 256-bit vector.
@@ -802,7 +912,7 @@ mod avx2 {
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn butterfly_pass(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
+    unsafe fn butterfly_pass(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
         let n = lo.len().min(hi.len()).min(tw.len());
         let head = n - n % CPL;
         let lp = lo.as_mut_ptr().cast::<f64>();
@@ -823,6 +933,223 @@ mod avx2 {
             i += 2 * CPL;
         }
         scalar::butterfly_pass(&mut lo[head..n], &mut hi[head..n], &tw[head..n]);
+    }
+
+    /// One butterfly on two points per vector: `(u + h·w, u − h·w)`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn butterfly_pd(u: __m256d, h: __m256d, w: __m256d) -> (__m256d, __m256d) {
+        let v = cmul_pd(h, w);
+        (_mm256_add_pd(u, v), _mm256_sub_pd(u, v))
+    }
+
+    /// The stage loop of [`super::radix2_stages_with`]. The length-2 and
+    /// length-4 stages run fused over each group of four points, shuffled
+    /// so each stage's pairs share a vector; then each pass runs stages
+    /// `s` and `s + 1` over four quarter-blocks `q0..q3` of `2^(s+2)`
+    /// points, two points per vector: stage `s` pairs `q0`/`q1` and
+    /// `q2`/`q3`, stage `s + 1` pairs `q0`/`q2` and `q1`/`q3`, all in
+    /// registers. An odd stage left over runs alone.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2. The caller has checked that `data.len() ==
+    /// 2^twiddles.len()` and that `twiddles[s]` holds `2^s` factors.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn radix2_stages(data: &mut [Complex], twiddles: &[Vec<Complex>]) {
+        let stages = twiddles.len();
+        if stages < 2 {
+            return scalar::radix2_stages(data, twiddles);
+        }
+        let n = data.len();
+        let p = data.as_mut_ptr().cast::<f64>();
+        // SAFETY: the caller checked that `twiddles[0]` holds one factor
+        // and `twiddles[1]` two, i.e. two and four f64.
+        let (w1, w2) = unsafe {
+            let w = _mm_loadu_pd(twiddles[0].as_ptr().cast::<f64>());
+            (
+                _mm256_set_m128d(w, w),
+                _mm256_loadu_pd(twiddles[1].as_ptr().cast::<f64>()),
+            )
+        };
+        let mut i = 0;
+        while i < n {
+            // SAFETY: `n` is a multiple of 4, so points `i..i + 4` (8 f64)
+            // are in bounds.
+            unsafe {
+                let a = _mm256_loadu_pd(p.add(2 * i)); // x0 x1
+                let b = _mm256_loadu_pd(p.add(2 * i + 4)); // x2 x3
+                let (lo, hi) = butterfly_pd(
+                    _mm256_permute2f128_pd(a, b, 0x20), // x0 x2
+                    _mm256_permute2f128_pd(a, b, 0x31), // x1 x3
+                    w1,
+                ); // lo = y0 y2, hi = y1 y3
+                let (lo, hi) = butterfly_pd(
+                    _mm256_permute2f128_pd(lo, hi, 0x20), // y0 y1
+                    _mm256_permute2f128_pd(lo, hi, 0x31), // y2 y3
+                    w2,
+                );
+                _mm256_storeu_pd(p.add(2 * i), lo);
+                _mm256_storeu_pd(p.add(2 * i + 4), hi);
+            }
+            i += 4;
+        }
+        let mut s = 2;
+        while s + 1 < stages {
+            let h = 1usize << s; // stage s pairs points h apart
+            let ta = twiddles[s].as_ptr().cast::<f64>();
+            let tb = twiddles[s + 1].as_ptr().cast::<f64>();
+            let mut block = 0;
+            while block < n {
+                let mut j = 0;
+                while j < h {
+                    // SAFETY: `h ≥ 4` is even and `block + 4h ≤ n`, so
+                    // points `block + k·h + j` and `+ 1` (k < 4) are in
+                    // bounds; `ta` holds `h` factors and `tb` `2h`, and
+                    // `j + 1 < h`.
+                    unsafe {
+                        let q0 = p.add(2 * (block + j));
+                        let q1 = q0.add(2 * h);
+                        let q2 = q0.add(4 * h);
+                        let q3 = q0.add(6 * h);
+                        let wa = _mm256_loadu_pd(ta.add(2 * j));
+                        let (r0, r1) = butterfly_pd(_mm256_loadu_pd(q0), _mm256_loadu_pd(q1), wa);
+                        let (r2, r3) = butterfly_pd(_mm256_loadu_pd(q2), _mm256_loadu_pd(q3), wa);
+                        let (o0, o2) = butterfly_pd(r0, r2, _mm256_loadu_pd(tb.add(2 * j)));
+                        let (o1, o3) = butterfly_pd(r1, r3, _mm256_loadu_pd(tb.add(2 * (h + j))));
+                        _mm256_storeu_pd(q0, o0);
+                        _mm256_storeu_pd(q1, o1);
+                        _mm256_storeu_pd(q2, o2);
+                        _mm256_storeu_pd(q3, o3);
+                    }
+                    j += CPL;
+                }
+                block += 4 * h;
+            }
+            s += 2;
+        }
+        if s < stages {
+            let h = 1usize << s;
+            for chunk in data.chunks_exact_mut(2 * h) {
+                let (lo, hi) = chunk.split_at_mut(h);
+                // SAFETY: AVX2 is available (this function's contract).
+                unsafe { butterfly_pass(lo, hi, &twiddles[s][..h]) };
+            }
+        }
+    }
+
+    /// Sections per lane pass. A forward (or backward) pass of the
+    /// cascade is the same as passing the signal through each section
+    /// in turn, so longer cascades run as several passes of up to four
+    /// sections, whose states stay in registers across the samples.
+    const SOS_CHUNK: usize = 4;
+
+    /// The lanes of [`super::sos_filtfilt_with`]: runs of up to four
+    /// equal-length channels go through [`sos_lanes`] together; a
+    /// channel with no equal-length neighbour runs on the scalar kernel.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sos_filtfilt(sections: &[Biquad], channels: &mut [Vec<f64>]) {
+        let mut c = 0;
+        while c < channels.len() {
+            let n = channels[c].len();
+            let k = channels[c..]
+                .iter()
+                .take(FPL)
+                .take_while(|ch| ch.len() == n)
+                .count();
+            let group = &mut channels[c..c + k];
+            if k == 1 {
+                scalar::sos_filtfilt(sections, group);
+            } else {
+                for reverse in [false, true] {
+                    for chunk in sections.chunks(SOS_CHUNK) {
+                        // SAFETY: AVX2 is available (this function's
+                        // contract); the group holds 2–4 channels of
+                        // length `n`.
+                        unsafe {
+                            match *chunk {
+                                [a] => sos_lanes(&[a], group, reverse),
+                                [a, b] => sos_lanes(&[a, b], group, reverse),
+                                [a, b, c] => sos_lanes(&[a, b, c], group, reverse),
+                                [a, b, c, d] => sos_lanes(&[a, b, c, d], group, reverse),
+                                _ => unreachable!("chunks hold 1..=SOS_CHUNK sections"),
+                            }
+                        }
+                    }
+                }
+            }
+            c += k;
+        }
+    }
+
+    /// One pass of the `S`-section cascade over 2–4 equal-length
+    /// channels, one per lane, from zero state: forward in time, or
+    /// backward when `reverse`. Each lane computes `y = b0·v + s1`,
+    /// `s1 = (b1·v − a1·y) + s2`, `s2 = b2·v − a2·y` per section, the
+    /// scalar [`crate::filter::cascade`] order. Lanes past the group's
+    /// width read its first channel and are never stored.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2. `group` holds 2–4 channels of one length.
+    #[target_feature(enable = "avx2")]
+    unsafe fn sos_lanes<const S: usize>(
+        sections: &[Biquad; S],
+        group: &mut [Vec<f64>],
+        reverse: bool,
+    ) {
+        let k = group.len();
+        debug_assert!((2..=FPL).contains(&k));
+        let n = group[0].len();
+        debug_assert!(group.iter().all(|ch| ch.len() == n));
+        let first = group[0].as_mut_ptr();
+        let mut lanes = [first; FPL];
+        for (lane, ch) in lanes.iter_mut().zip(group.iter_mut()).skip(1) {
+            *lane = ch.as_mut_ptr();
+        }
+        let coef = sections.map(|s| [s.b0, s.b1, s.b2, s.a1, s.a2].map(|c| _mm256_set1_pd(c)));
+        let mut state = [[_mm256_setzero_pd(); 2]; S];
+        for step in 0..n {
+            let t = if reverse { n - 1 - step } else { step };
+            // SAFETY: every lane points at a live channel of length
+            // `n > t`; the group's `&mut` borrow makes the channels
+            // distinct, and each is read before it is written.
+            unsafe {
+                let mut v = _mm256_set_pd(
+                    *lanes[3].add(t),
+                    *lanes[2].add(t),
+                    *lanes[1].add(t),
+                    *lanes[0].add(t),
+                );
+                for (c, st) in coef.iter().zip(state.iter_mut()) {
+                    let y = _mm256_add_pd(_mm256_mul_pd(c[0], v), st[0]);
+                    st[0] = _mm256_add_pd(
+                        _mm256_sub_pd(_mm256_mul_pd(c[1], v), _mm256_mul_pd(c[3], y)),
+                        st[1],
+                    );
+                    st[1] = _mm256_sub_pd(_mm256_mul_pd(c[2], v), _mm256_mul_pd(c[4], y));
+                    v = y;
+                }
+                let lo = _mm256_castpd256_pd128(v);
+                let hi = _mm256_extractf128_pd(v, 1);
+                _mm_storel_pd(lanes[0].add(t), lo);
+                _mm_storeh_pd(lanes[1].add(t), lo);
+                if k > 2 {
+                    _mm_storel_pd(lanes[2].add(t), hi);
+                }
+                if k > 3 {
+                    _mm_storeh_pd(lanes[3].add(t), hi);
+                }
+            }
+        }
     }
 
     /// # Safety
@@ -1326,18 +1653,106 @@ mod tests {
 
     #[test]
     fn scalar_butterfly_matches_hand_computation() {
+        let mut lo = vec![cx(1.0, 2.0), cx(-0.5, 0.25), cx(3.0, -1.0)];
+        let mut hi = vec![cx(0.5, -1.5), cx(2.0, 1.0), cx(-1.0, 0.125)];
+        let tw = vec![cx(1.0, 0.0), cx(0.0, -1.0), cx(0.5, 0.5)];
+        scalar::butterfly_pass(&mut lo, &mut hi, &tw);
+        // v = hi·tw; lo' = u + v, hi' = u − v.
+        assert_eq!(lo[0], cx(1.5, 0.5));
+        assert_eq!(hi[0], cx(0.5, 3.5));
+        assert_eq!(lo[1], cx(0.5, -1.75)); // v = (1, −2)
+        assert_eq!(hi[1], cx(-1.5, 2.25));
+        assert_eq!(lo[2], cx(2.4375, -1.4375)); // v = (−0.5625, −0.4375)
+        assert_eq!(hi[2], cx(3.5625, -0.5625));
+    }
+
+    /// The unplanned FFT's stage loop over explicit tables: one stage
+    /// after another, one butterfly after another.
+    fn stages_one_by_one(data: &mut [Complex], twiddles: &[Vec<Complex>]) {
+        for (s, tw) in twiddles.iter().enumerate() {
+            let half = 1 << s;
+            for chunk in data.chunks_mut(2 * half) {
+                let (lo, hi) = chunk.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let u = *a;
+                    let v = *b * w;
+                    *a = u + v;
+                    *b = u - v;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn radix2_stages_match_the_stage_by_stage_loop() {
+        // Arbitrary (not unit) twiddles: the kernel must use each table
+        // entry where the plain loop does, whatever its value. 2^0..2^7
+        // covers no stage, the lone length-2 stage, the fused pair alone,
+        // and fused + paired passes with and without an odd stage left.
         for path in paths() {
-            let mut lo = vec![cx(1.0, 2.0), cx(-0.5, 0.25), cx(3.0, -1.0)];
-            let mut hi = vec![cx(0.5, -1.5), cx(2.0, 1.0), cx(-1.0, 0.125)];
-            let tw = vec![cx(1.0, 0.0), cx(0.0, -1.0), cx(0.5, 0.5)];
-            butterfly_pass_with(path, &mut lo, &mut hi, &tw);
-            // v = hi·tw; lo' = u + v, hi' = u − v.
-            assert_eq!(lo[0], cx(1.5, 0.5));
-            assert_eq!(hi[0], cx(0.5, 3.5));
-            assert_eq!(lo[1], cx(0.5, -1.75)); // v = (1, −2)
-            assert_eq!(hi[1], cx(-1.5, 2.25));
-            assert_eq!(lo[2], cx(2.4375, -1.4375)); // v = (−0.5625, −0.4375)
-            assert_eq!(hi[2], cx(3.5625, -0.5625));
+            for stages in 0..8usize {
+                let n = 1 << stages;
+                let twiddles: Vec<Vec<Complex>> =
+                    (0..stages).map(|s| cvec(1 << s, 101 + s as u64)).collect();
+                let input = cvec(n, 103 + stages as u64);
+                let mut want = input.clone();
+                stages_one_by_one(&mut want, &twiddles);
+                let mut got = input;
+                radix2_stages_with(path, &mut got, &twiddles);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.re.to_bits(), w.re.to_bits(), "n={n} [{i}] on {path:?}");
+                    assert_eq!(g.im.to_bits(), w.im.to_bits(), "n={n} [{i}] on {path:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2^stages points")]
+    fn radix2_stages_reject_a_length_the_tables_do_not_fit() {
+        let twiddles = vec![vec![Complex::ONE], vec![Complex::ONE; 2]];
+        radix2_stages_with(SimdPath::Scalar, &mut [Complex::ZERO; 8], &twiddles);
+    }
+
+    #[test]
+    #[should_panic(expected = "stage 1 is short")]
+    fn radix2_stages_reject_a_short_twiddle_table() {
+        let twiddles = vec![vec![Complex::ONE], vec![Complex::ONE]];
+        radix2_stages_with(SimdPath::Scalar, &mut [Complex::ZERO; 4], &twiddles);
+    }
+
+    #[test]
+    fn sos_filtfilt_matches_per_channel_filtfilt() {
+        use crate::filter::SosFilter;
+        // 1–6 channels of one length (lane groups of 4 + 2, 4 + 1, …),
+        // then ragged lengths that split the groups; two sections, and
+        // five (the AVX2 path runs them as passes of four and one).
+        let mut shapes: Vec<Vec<usize>> = (1..=6usize)
+            .flat_map(|m| [0usize, 1, 9].map(|n| vec![n; m]))
+            .collect();
+        shapes.push(vec![9, 9, 4, 4, 4, 0, 9]);
+        for (path, order) in paths().into_iter().flat_map(|p| [(p, 2), (p, 5)]) {
+            let bp = SosFilter::butterworth_bandpass(order, 2_000.0, 3_000.0, 48_000.0);
+            for lens in &shapes {
+                let input: Vec<Vec<f64>> = lens
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &n)| fvec(n, 107 + c as u64))
+                    .collect();
+                let mut got = input.clone();
+                sos_filtfilt_with(path, bp.sections(), &mut got);
+                for (c, (g, x)) in got.iter().zip(&input).enumerate() {
+                    let want = bp.filtfilt(x);
+                    assert_eq!(g.len(), want.len());
+                    for (t, (a, b)) in g.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "order {order} {lens:?} ch {c} [{t}] on {path:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

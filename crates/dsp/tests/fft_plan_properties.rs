@@ -10,8 +10,18 @@
 use echo_dsp::correlate::{convolve, matched_filter, matched_filter_complex, MatchedFilterPlan};
 use echo_dsp::fft::{fft, ifft};
 use echo_dsp::plan::{fft_plan, FftPlan, FftScratch};
+use echo_dsp::simd::{self, SimdPath};
 use echo_dsp::Complex;
 use proptest::prelude::*;
+
+/// Both dispatch paths where the host has AVX2, else scalar alone.
+fn paths() -> Vec<SimdPath> {
+    let mut paths = vec![SimdPath::Scalar];
+    if simd::avx2_supported() {
+        paths.push(SimdPath::Avx2);
+    }
+    paths
+}
 
 fn signal(seed: u64, n: usize) -> Vec<Complex> {
     (0..n)
@@ -82,18 +92,20 @@ proptest! {
         let orig = signal(seed, n);
         let plan = FftPlan::new(n);
         let mut scratch = FftScratch::new();
-
-        let mut planned = orig.clone();
-        plan.fft_with(&mut planned, &mut scratch);
         let mut unplanned = orig.clone();
         fft(&mut unplanned);
-        assert_bits_eq(&planned, &unplanned)?;
-
-        let mut planned_inv = orig.clone();
-        plan.ifft_with(&mut planned_inv, &mut scratch);
-        let mut unplanned_inv = orig;
+        let mut unplanned_inv = orig.clone();
         ifft(&mut unplanned_inv);
-        assert_bits_eq(&planned_inv, &unplanned_inv)?;
+
+        for path in paths() {
+            let mut planned = orig.clone();
+            plan.fft_on(path, &mut planned, &mut scratch);
+            assert_bits_eq(&planned, &unplanned)?;
+
+            let mut planned_inv = orig.clone();
+            plan.ifft_on(path, &mut planned_inv, &mut scratch);
+            assert_bits_eq(&planned_inv, &unplanned_inv)?;
+        }
     }
 
     fn packed_real_matched_filter_matches_naive(
@@ -149,5 +161,33 @@ proptest! {
         let plan = MatchedFilterPlan::new_complex(&tmpl);
         let planned = plan.matched_filter_complex(&sig);
         assert_bits_eq(&planned, &unplanned)?;
+    }
+}
+
+/// Every power of two from 1 to 2^16 on both paths: the one-call stage
+/// kernel (fused first pass, paired AVX2 passes, a lone last stage when
+/// the count is odd) equals the unplanned transform bit for bit at
+/// every stage count the pipeline or a caller can reach.
+#[test]
+fn planned_pow2_fft_is_bit_identical_on_both_paths_up_to_2_pow_16() {
+    let mut scratch = FftScratch::new();
+    for log_n in 0..=16u32 {
+        let n = 1usize << log_n;
+        let orig = signal(u64::from(log_n) * 7 + 1, n);
+        let plan = FftPlan::new(n);
+        let mut unplanned = orig.clone();
+        fft(&mut unplanned);
+        let mut unplanned_inv = orig.clone();
+        ifft(&mut unplanned_inv);
+        for path in paths() {
+            let mut planned = orig.clone();
+            plan.fft_on(path, &mut planned, &mut scratch);
+            assert_bits_eq(&planned, &unplanned)
+                .unwrap_or_else(|e| panic!("fft n={n} on {path:?}: {e:?}"));
+            let mut planned_inv = orig.clone();
+            plan.ifft_on(path, &mut planned_inv, &mut scratch);
+            assert_bits_eq(&planned_inv, &unplanned_inv)
+                .unwrap_or_else(|e| panic!("ifft n={n} on {path:?}: {e:?}"));
+        }
     }
 }

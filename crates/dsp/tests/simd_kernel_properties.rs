@@ -20,18 +20,24 @@
 //! and pass trivially; CI's dispatch matrix runs the suite on AVX2
 //! hardware.
 
+use echo_dsp::filter::{Biquad, SosFilter};
 use echo_dsp::peaks::{find_peaks, Peak};
 use echo_dsp::simd::{
-    self, accum_norm_sqr_with, axpy2_with, axpy_with, butterfly_pass_with, cmul_conj_in_place_with,
-    cmul_in_place_with, cmul_into_with, cmul_scale_into_with, gated_beam_energy_with,
-    gemm_tile2_with, gemm_tile_with, max_f64_with, scale_in_place_with, sqdist_f32_with,
+    self, accum_norm_sqr_with, axpy2_with, axpy_with, cmul_conj_in_place_with, cmul_in_place_with,
+    cmul_into_with, cmul_scale_into_with, gated_beam_energy_with, gemm_tile2_with, gemm_tile_with,
+    max_f64_with, radix2_stages_with, scale_in_place_with, sos_filtfilt_with, sqdist_f32_with,
     sqdist_f64_with, SimdPath,
 };
 use echo_dsp::Complex;
 use proptest::prelude::*;
 
 /// Per-kernel ULP bounds (see module docs — all exact today).
+// `radix2_stages` fuses and pairs stages but keeps every butterfly's
+// twiddle and operation order.
 const ULP_BUTTERFLY: u64 = 0;
+// `sos_filtfilt` vectorises across channels only: each lane is one
+// channel's scalar cascade.
+const ULP_SOS: u64 = 0;
 const ULP_CMUL: u64 = 0;
 const ULP_SCALE: u64 = 0;
 const ULP_AXPY: u64 = 0;
@@ -121,17 +127,54 @@ proptest! {
     // Lengths 0..101 straddle the lane width: empty, sub-vector, exact
     // multiples of 2/4/8, and ragged tails all occur.
 
-    fn butterfly_pass_paths_agree(n in 0usize..101, seed in 0u64..10_000) {
-        let lo = cvec(n, seed);
-        let hi = cvec(n, seed ^ 0xA5A5);
-        let tw = cvec(n, seed ^ 0x5A5A);
-        let (mut s_lo, mut s_hi) = (lo.clone(), hi.clone());
-        butterfly_pass_with(SimdPath::Scalar, &mut s_lo, &mut s_hi, &tw);
-        let (mut v_lo, mut v_hi) = (lo, hi);
-        butterfly_pass_with(simd_path(), &mut v_lo, &mut v_hi, &tw);
+    // Transforms of 2^0..2^13 points with arbitrary (not unit)
+    // twiddles: no stage, the lone length-2 stage, the fused first pass
+    // alone, and paired passes with and without an odd stage left over
+    // all occur. Both paths must equal the plain stage-by-stage loop.
+    fn radix2_stages_paths_agree(stages in 0usize..14, seed in 0u64..10_000) {
+        let n = 1usize << stages;
+        let twiddles: Vec<Vec<Complex>> =
+            (0..stages).map(|s| cvec(1 << s, seed ^ (0x5A5A + s as u64))).collect();
+        let input = cvec(n, seed);
+        let mut want = input.clone();
+        stages_one_by_one(&mut want, &twiddles);
+        let mut s = input.clone();
+        radix2_stages_with(SimdPath::Scalar, &mut s, &twiddles);
+        let mut v = input;
+        radix2_stages_with(simd_path(), &mut v, &twiddles);
         for i in 0..n {
-            assert_ulp_c(s_lo[i], v_lo[i], ULP_BUTTERFLY, "butterfly lo")?;
-            assert_ulp_c(s_hi[i], v_hi[i], ULP_BUTTERFLY, "butterfly hi")?;
+            assert_ulp_c(want[i], s[i], ULP_BUTTERFLY, "radix2_stages scalar")?;
+            assert_ulp_c(want[i], v[i], ULP_BUTTERFLY, "radix2_stages simd")?;
+        }
+    }
+
+    // 1–8 channels of 0–5 000 samples (odd and even), through 1–6
+    // random stable sections; `ragged` shortens some channels so lane
+    // groups split. Both paths must equal per-channel `filtfilt`.
+    fn sos_filtfilt_matches_per_channel_filtfilt(
+        m in 1usize..9,
+        len in 0usize..5_001,
+        ragged in 0u8..2,
+        n_sections in 1usize..7,
+        seed in 0u64..10_000,
+    ) {
+        let filter = SosFilter::from_sections(stable_sections(n_sections, seed));
+        let channels: Vec<Vec<f64>> = (0..m)
+            .map(|c| {
+                let n = if ragged == 1 { len.saturating_sub(c % 3) } else { len };
+                fvec(n, seed ^ (0x2B2B * (c as u64 + 1)))
+            })
+            .collect();
+        for path in [SimdPath::Scalar, simd_path()] {
+            let mut got = channels.clone();
+            sos_filtfilt_with(path, filter.sections(), &mut got);
+            for (c, (g, x)) in got.iter().zip(&channels).enumerate() {
+                let want = filter.filtfilt(x);
+                prop_assert_eq!(g.len(), want.len());
+                for (t, (&a, &b)) in g.iter().zip(&want).enumerate() {
+                    assert_ulp(b, a, ULP_SOS, &format!("sos_filtfilt ch {c} [{t}] on {path:?}"))?;
+                }
+            }
         }
     }
 
@@ -345,6 +388,51 @@ proptest! {
         let want = find_peaks_reference(&signal, min_distance, threshold);
         prop_assert_eq!(got, want);
     }
+}
+
+/// The unplanned FFT's stage loop over explicit twiddle tables, the
+/// oracle for `radix2_stages_with`: one stage after another, one
+/// butterfly after another.
+fn stages_one_by_one(data: &mut [Complex], twiddles: &[Vec<Complex>]) {
+    for (s, tw) in twiddles.iter().enumerate() {
+        let half = 1 << s;
+        for chunk in data.chunks_mut(2 * half) {
+            let (lo, hi) = chunk.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                let u = *a;
+                let v = *b * w;
+                *a = u + v;
+                *b = u - v;
+            }
+        }
+    }
+}
+
+/// `count` random sections inside the Jury stability triangle
+/// (`|a2| < 1`, `|a1| < 1 + a2`), with feed-forward taps in ±2.
+fn stable_sections(count: usize, seed: u64) -> Vec<Biquad> {
+    let mut state = seed.wrapping_mul(0xD1B54A32D192ED03).max(1);
+    let mut unit = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+    };
+    (0..count)
+        .map(|_| {
+            let a2 = 0.99 * unit();
+            let a1 = 0.99 * (1.0 + a2) * unit();
+            let section = Biquad {
+                b0: 2.0 * unit(),
+                b1: 2.0 * unit(),
+                b2: 2.0 * unit(),
+                a1,
+                a2,
+            };
+            assert!(section.is_stable());
+            section
+        })
+        .collect()
 }
 
 /// The pre-SIMD `find_peaks` loop, kept verbatim as the semantic oracle.

@@ -233,9 +233,11 @@ fn decide(shared: &Shared, job: &Job, feats: &[Vec<f64>]) -> Response {
 }
 
 /// Builds the `Overloaded` response and audit record for a shed
-/// request. Lives here (not in the I/O loop) so the shed path and the
-/// decided path produce their records from one place.
-pub(crate) fn shed(req: &Request, trace_id: u64, queued: usize) -> Response {
+/// request; `why` names what refused it (a full admission queue, or
+/// shutdown), and the reason reads `overloaded: {why}`. Lives here (not
+/// in the I/O loop) so the shed path and the decided path produce their
+/// records from one place.
+pub(crate) fn shed(req: &Request, trace_id: u64, why: &str) -> Response {
     echo_obs::counter!("serve.overloaded").inc();
     let beeps = req.images.len() as u64;
     echo_obs::record_audit(echo_obs::AuthAudit {
@@ -252,10 +254,7 @@ pub(crate) fn shed(req: &Request, trace_id: u64, queued: usize) -> Response {
         retry_index: 0,
         verdict: echo_obs::AuthVerdict::Overloaded,
         reject_kind: echo_obs::RejectKind::Overloaded,
-        reject_reason: format!(
-            "overloaded: tenant {} admission queue full ({queued} queued)",
-            req.tenant
-        ),
+        reject_reason: format!("overloaded: {why}"),
         spatial_coherence: None,
     });
     Response {
@@ -264,10 +263,7 @@ pub(crate) fn shed(req: &Request, trace_id: u64, queued: usize) -> Response {
         status: Status::Overloaded,
         user_id: 0,
         trace_id,
-        reason: format!(
-            "overloaded: tenant {} admission queue full ({queued} queued)",
-            req.tenant
-        ),
+        reason: format!("overloaded: {why}"),
         stats: None,
     }
 }

@@ -37,7 +37,9 @@
 //! Fast-path requests (ping, shutdown, stats) are answered directly on
 //! the I/O thread; auth, enrol and identify go through admission
 //! control into the batch queue, or come straight back as typed
-//! `Overloaded` responses when the tenant's queue is full.
+//! `Overloaded` responses when the tenant's queue is full or shutdown
+//! has been flagged. A shutdown therefore drains only the work admitted
+//! before it, however steadily clients keep sending.
 //!
 //! A connection whose stream produces a protocol error is sent one
 //! final `Error` response and closed: a length-prefixed stream that has
@@ -382,7 +384,9 @@ impl ServerHandle {
     }
 
     /// Flags shutdown and joins both threads, draining queued work
-    /// first (bounded by an internal grace period).
+    /// first (bounded by an internal grace period). Requests that arrive
+    /// after the flag are shed with an `Overloaded` "shutting down"
+    /// response instead of joining the queue.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -666,31 +670,46 @@ fn handle_payload(shared: &Shared, conn: u64, payload: &[u8]) -> Dispatch {
             (req.tenant != u64::MAX).then_some(req.tenant),
         )),
         Opcode::Auth | Opcode::Enroll | Opcode::Identify => {
-            return match shared
-                .registry
-                .try_admit(req.tenant, shared.cfg.queue_bound)
-            {
-                Err(queued) => Dispatch::Reply(encode_response(&batcher::shed(
+            // Once shutdown is flagged nothing more is admitted, so the
+            // drain ends with the work admitted before it. The flag is
+            // read under the queue lock, where the batcher reads it
+            // before exiting on an empty queue: a job is either queued
+            // ahead of that exit or shed here, never stranded.
+            let mut q = shared.queue.lock().unwrap();
+            let refused = if shared.shutdown.load(Ordering::Relaxed) {
+                Some("shutting down".to_string())
+            } else {
+                shared
+                    .registry
+                    .try_admit(req.tenant, shared.cfg.queue_bound)
+                    .err()
+                    .map(|queued| {
+                        format!(
+                            "tenant {} admission queue full ({queued} queued)",
+                            req.tenant
+                        )
+                    })
+            };
+            if let Some(why) = refused {
+                drop(q);
+                return Dispatch::Reply(encode_response(&batcher::shed(
                     &req,
                     span.ctx().trace_id(),
-                    queued,
-                ))),
-                Ok(()) => {
-                    let queue_wait = Some(span.ctx().child("serve.queue_wait"));
-                    let mut q = shared.queue.lock().unwrap();
-                    q.push_back(Job {
-                        conn,
-                        req,
-                        enqueued: Instant::now(),
-                        span,
-                        queue_wait,
-                    });
-                    echo_obs::gauge!("serve.queue_depth").set(q.len() as i64);
-                    drop(q);
-                    shared.cond.notify_one();
-                    Dispatch::Queued
-                }
-            };
+                    &why,
+                )));
+            }
+            let queue_wait = Some(span.ctx().child("serve.queue_wait"));
+            q.push_back(Job {
+                conn,
+                req,
+                enqueued: Instant::now(),
+                span,
+                queue_wait,
+            });
+            echo_obs::gauge!("serve.queue_depth").set(q.len() as i64);
+            drop(q);
+            shared.cond.notify_one();
+            return Dispatch::Queued;
         }
     };
     Dispatch::Reply(encode_response(&Response {

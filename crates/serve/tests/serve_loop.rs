@@ -17,9 +17,12 @@ use echo_serve::protocol::{
 };
 use echo_serve::server::{BindAddr, ServerHandle};
 use echo_serve::Client;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn enroll(client: &mut Client, tenant: u64, user: u64, images: usize) {
     let images: Vec<_> = (0..images as u64)
@@ -349,4 +352,109 @@ fn protocol_error_gets_one_error_frame_then_the_close() {
         resps[0].reason
     );
     server.shutdown();
+}
+
+#[test]
+fn shutdown_under_steady_traffic_drains_only_work_admitted_before_it() {
+    // One client sends an auth every 300 µs and shutdown comes 100 ms
+    // in. Requests admitted before the flag get their decisions; every
+    // later one is shed with a typed "shutting down" response, so the
+    // drain is bounded by the admitted work (at most `queue_bound`
+    // jobs), not by the traffic, which would otherwise hold every
+    // shutdown for the whole grace period.
+    let tenant = 4_242u64;
+    let cfg = ServeConfig::validated(Duration::from_millis(3), 32, 16, 1).expect("config");
+    let server =
+        ServerHandle::start(cfg, BindAddr::Tcp("127.0.0.1:0".into())).expect("bind tcp socket");
+    let addr = server.local_addr().expect("tcp addr");
+    enroll(
+        &mut Client::connect_tcp(addr).expect("connect"),
+        tenant,
+        1,
+        20,
+    );
+
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    let mut reader = raw.try_clone().expect("clone stream");
+    let stop = Arc::new(AtomicBool::new(false));
+    let sender = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut req = auth_request(tenant, 1, 0, 7_000);
+            while !stop.load(Ordering::Relaxed) {
+                if raw.write_all(&encode_request(&req)).is_err() {
+                    break;
+                }
+                req.request_id += 1;
+                std::thread::sleep(Duration::from_micros(300));
+            }
+            req.request_id
+        })
+    };
+    // Reads responses as they arrive until the server closes the
+    // connection.
+    let collector = std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        let mut buf = [0u8; 64 * 1024];
+        let mut out = Vec::new();
+        while let Ok(n @ 1..) = reader.read(&mut buf) {
+            bytes.extend_from_slice(&buf[..n]);
+            let mut used_total = 0;
+            while let Some((payload, used)) =
+                split_frame(&bytes[used_total..]).expect("well-formed frame")
+            {
+                out.push(decode_response(payload).expect("decodable response"));
+                used_total += used;
+            }
+            bytes.drain(..used_total);
+        }
+        out
+    });
+
+    std::thread::sleep(Duration::from_millis(100));
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    let sent = sender.join().expect("sender thread");
+    let responses = collector.join().expect("collector thread");
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+
+    let shut = |r: &Response| r.status == Status::Overloaded && r.reason.contains("shutting down");
+    let first_shed = responses
+        .iter()
+        .filter(|r| shut(r))
+        .map(|r| r.request_id)
+        .min()
+        .expect("requests after the flag are shed as shutting down");
+    let mut by_id: HashMap<u64, &Response> = HashMap::new();
+    for r in &responses {
+        assert!(r.request_id < sent, "response to a request never sent");
+        assert!(
+            by_id.insert(r.request_id, r).is_none(),
+            "request {} answered twice",
+            r.request_id
+        );
+    }
+    let mut decided = 0;
+    for rid in 0..first_shed {
+        let r = by_id
+            .get(&rid)
+            .unwrap_or_else(|| panic!("request {rid}, read before the flag, got no response"));
+        match r.status {
+            Status::Accepted | Status::Rejected => decided += 1,
+            Status::Overloaded if r.reason.contains("admission queue full") => {}
+            s => panic!("request {rid} before the flag: {s:?}: {}", r.reason),
+        }
+    }
+    assert!(decided > 0, "work admitted before the flag is decided");
+    for r in responses.iter().filter(|r| r.request_id > first_shed) {
+        assert!(
+            shut(r),
+            "request {} after the flag: {:?}: {}",
+            r.request_id,
+            r.status,
+            r.reason
+        );
+    }
 }

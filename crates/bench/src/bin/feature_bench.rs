@@ -246,15 +246,15 @@ fn main() {
         "  {:<22} {:>6} {:>12} {:>12} {:>12}",
         "stage", "count", "mean µs", "min µs", "max µs"
     );
-    let stages: Vec<&echo_obs::HistogramSnapshot> = snap
+    let stages: Vec<&(String, echo_obs::HistogramSnapshot)> = snap
         .histograms
         .iter()
-        .filter(|h| h.name.starts_with("stage.") && h.count > 0)
+        .filter(|(name, h)| name.starts_with("stage.") && h.count > 0)
         .collect();
-    for h in &stages {
+    for (name, h) in stages.iter().copied() {
         println!(
             "  {:<22} {:>6} {:>12.1} {:>12.1} {:>12.1}",
-            h.name,
+            name,
             h.count,
             h.mean_ns().unwrap_or(0.0) / 1e3,
             h.min_ns.unwrap_or(0) as f64 / 1e3,
@@ -283,8 +283,8 @@ fn main() {
     let stage_mean_ns = |name: &str| {
         stages
             .iter()
-            .find(|h| h.name == name)
-            .and_then(|h| h.mean_ns())
+            .find(|(n, _)| n == name)
+            .and_then(|(_, h)| h.mean_ns())
             .unwrap_or_else(|| {
                 eprintln!("WARNING: no {name} samples in the snapshot");
                 0.0
@@ -294,11 +294,11 @@ fn main() {
     let imaging_mean_ns = stage_mean_ns("stage.imaging");
     let stage_json: Vec<String> = stages
         .iter()
-        .map(|h| {
+        .map(|(name, h)| {
             format!(
                 "    {{\"name\": \"{}\", \"count\": {}, \"mean_ns\": {:.0}, \
                  \"min_ns\": {}, \"max_ns\": {}}}",
-                echo_obs::escape_json(&h.name),
+                echo_obs::escape_json(name),
                 h.count,
                 h.mean_ns().unwrap_or(0.0),
                 h.min_ns.unwrap_or(0),

@@ -22,7 +22,6 @@ use echo_ml::{Kernel, OneClassSvm, StandardScaler, SvmMulticlass};
 use echo_obs::{AuthAudit, AuthVerdict, RejectKind, TraceCtx};
 use echo_sim::BeepCapture;
 use std::borrow::Borrow;
-use std::time::Instant;
 
 /// How the spoofer gate is trained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -372,8 +371,8 @@ impl Authenticator {
     /// records one [`AuthAudit`] carrying `attempt`.
     ///
     /// Records a `stage.auth` span (child `lidx` = the retry index).
-    /// Latency lands in the `stage.auth` histogram, and additionally in
-    /// `stage.auth_degraded` when the train went through the degraded
+    /// Its duration lands in the `stage.auth` histogram, and additionally
+    /// in `stage.auth_degraded` when the train went through the degraded
     /// route (channels excised *or* the capture rejected as degraded),
     /// so degraded-path latency has the same coverage as the happy path.
     ///
@@ -395,9 +394,8 @@ impl Authenticator {
         attempt: AuthAttempt,
     ) -> Result<AuthDecision, EchoImageError> {
         let root = echo_obs::root_span("auth.train");
-        let mut tspan = root.ctx().child_at("stage.auth", attempt.retry_index);
+        let mut tspan = echo_obs::stage!(root.ctx(), "stage.auth", attempt.retry_index);
         let ctx = tspan.ctx();
-        let started = echo_obs::is_enabled().then(Instant::now);
         echo_obs::counter!("auth.train_attempts").inc();
         let channels = captures.first().map_or(0, |c| c.num_channels()) as u64;
         let audit = |mask: u64, coherence: Option<f64>| {
@@ -434,13 +432,8 @@ impl Authenticator {
             // security event, not a degraded capture.
             let spatial_cfg = &pipeline.config().spatial;
             let coherence = if spatial_cfg.enabled {
-                let t0 = echo_obs::is_enabled().then(Instant::now);
-                let c = crate::spatial::train_spread(spatial_cfg, &train.images);
-                if let Some(t0) = t0 {
-                    echo_obs::histogram!("stage.spatial")
-                        .observe_ns(t0.elapsed().as_nanos() as u64);
-                }
-                c
+                let _t = echo_obs::stage!(TraceCtx::none(), "stage.spatial");
+                crate::spatial::train_spread(spatial_cfg, &train.images)
             } else {
                 None
             };
@@ -465,12 +458,8 @@ impl Authenticator {
                 degraded,
             )
         };
-        if let Some(t0) = started {
-            let ns = t0.elapsed().as_nanos() as u64;
-            echo_obs::histogram!("stage.auth").observe_ns(ns);
-            if degraded {
-                echo_obs::histogram!("stage.auth_degraded").observe_ns(ns);
-            }
+        if degraded {
+            tspan.also_time_into(echo_obs::histogram!("stage.auth_degraded"));
         }
         tspan.attr_bool("accepted", matches!(&outcome, Ok(d) if d.is_accepted()));
         tspan.attr_bool("degraded", degraded);
@@ -503,8 +492,7 @@ impl Authenticator {
         features: &[Vec<f64>],
         attempt: AuthAttempt,
     ) -> Result<AuthDecision, EchoImageError> {
-        let mut tspan = ctx.child_at("stage.auth", attempt.retry_index);
-        let started = echo_obs::is_enabled().then(Instant::now);
+        let mut tspan = echo_obs::stage!(ctx, "stage.auth", attempt.retry_index);
         echo_obs::counter!("auth.train_attempts").inc();
         let audit = attempt_audit(tspan.ctx(), &attempt, features.len(), 0, 0, None);
         let outcome = if features.is_empty() {
@@ -517,9 +505,6 @@ impl Authenticator {
         } else {
             self.vote_and_audit(features, audit)
         };
-        if let Some(t0) = started {
-            echo_obs::histogram!("stage.auth").observe_ns(t0.elapsed().as_nanos() as u64);
-        }
         tspan.attr_bool("accepted", matches!(&outcome, Ok(d) if d.is_accepted()));
         outcome
     }

@@ -66,7 +66,10 @@ pub fn estimate_distance(
     config: &PipelineConfig,
 ) -> Result<DistanceEstimate, EchoImageError> {
     check_train(captures, array)?;
-    let analytic: Vec<Vec<Vec<Complex>>> = captures.iter().map(analytic_channels).collect();
+    let analytic: Vec<Vec<Vec<Complex>>> = captures
+        .iter()
+        .map(|c| analytic_channels(TraceCtx::none(), 0, c))
+        .collect();
     let cov = resolve_covariance(captures, array, config);
     estimate_from_analytic(captures, &analytic, &cov, array, config, TraceCtx::none())
 }
@@ -116,8 +119,14 @@ pub(crate) fn check_train(
 /// pair. The padded signal tracks the exact one closely away from the
 /// capture's ends, and neither the envelope peaks nor the echo gates
 /// are read there.
-pub(crate) fn analytic_channels(capture: &BeepCapture) -> Vec<Vec<Complex>> {
-    let _span = echo_obs::span!("stage.analytic");
+///
+/// Timed as `stage.analytic` child `lidx` of `ctx`.
+pub(crate) fn analytic_channels(
+    ctx: TraceCtx,
+    lidx: u64,
+    capture: &BeepCapture,
+) -> Vec<Vec<Complex>> {
+    let _t = echo_obs::stage!(ctx, "stage.analytic", lidx);
     let mut scratch = FftScratch::new();
     capture
         .channels()
@@ -146,8 +155,7 @@ pub(crate) fn estimate_from_analytic(
     debug_assert_eq!(analytic.len(), captures.len());
     let first = &captures[0];
     let (fs, n) = (first.sample_rate(), first.len());
-    let _span = echo_obs::span!("stage.distance");
-    let mut tspan = ctx.child("stage.distance");
+    let mut tspan = echo_obs::stage!(ctx, "stage.distance");
     tspan.attr_u64("beeps", captures.len() as u64);
     echo_obs::counter!("distance.estimates").inc();
     // Which SIMD path the kernels below run on. Gauge only — traces and

@@ -164,7 +164,7 @@ fn gather_features(
     visits: &[Vec<BeepCapture>],
     config: &EnrollmentConfig,
 ) -> Result<Vec<Vec<f64>>, EchoImageError> {
-    let _span = echo_obs::span!("stage.enroll");
+    let _t = echo_obs::stage!(TraceCtx::none(), "stage.enroll");
     let imaging = &pipeline.config().imaging;
     // Gather every image (captured, re-planed, and augmented) first,
     // then extract features in one batch over the configured thread

@@ -103,7 +103,7 @@ pub fn construct_image_with_covariance(
         // fault layer produces exactly these, so fail loudly instead.
         return Err(EchoImageError::InvalidParameter("capture holds no samples"));
     }
-    let analytic = crate::distance::analytic_channels(capture);
+    let analytic = crate::distance::analytic_channels(TraceCtx::none(), 0, capture);
     let plane = PlaneWeights::design(array, horizontal_distance, cov, config, TraceCtx::none(), 0)?;
     Ok(image_beep(
         capture,
@@ -160,8 +160,7 @@ impl PlaneWeights {
         lidx: u64,
     ) -> Result<Self, EchoImageError> {
         check_distance(horizontal_distance)?;
-        let _span = echo_obs::span!("stage.imaging.weights");
-        let mut tspan = ctx.child_at("stage.imaging.weights", lidx);
+        let mut tspan = echo_obs::stage!(ctx, "stage.imaging.weights", lidx);
         let icfg = &config.imaging;
         tspan.attr_u64("grid_n", icfg.grid_n as u64);
         // The steering vectors and cell distances depend only on the
@@ -211,8 +210,7 @@ pub(crate) fn image_beep(
     ctx: TraceCtx,
     lidx: u64,
 ) -> GrayImage {
-    let _span = echo_obs::span!("stage.imaging");
-    let mut tspan = ctx.child_at("stage.imaging", lidx);
+    let mut tspan = echo_obs::stage!(ctx, "stage.imaging", lidx);
     let grid_n = plane.field.grid_n();
     tspan.attr_u64("grid_n", grid_n as u64);
     tspan.attr_u64("channels", plane.channels as u64);

@@ -134,7 +134,13 @@ impl EchoImagePipeline {
     /// together, in SIMD lanes, bit-identical to filtering each channel
     /// on its own ([`SosFilter::filtfilt_channels`]).
     pub fn preprocess(&self, capture: &BeepCapture) -> BeepCapture {
-        let _span = echo_obs::span!("stage.preprocess");
+        self.preprocess_at(TraceCtx::none(), 0, capture)
+    }
+
+    /// [`EchoImagePipeline::preprocess`] timed as `stage.preprocess`
+    /// child `lidx` of `ctx`.
+    fn preprocess_at(&self, ctx: TraceCtx, lidx: u64, capture: &BeepCapture) -> BeepCapture {
+        let _t = echo_obs::stage!(ctx, "stage.preprocess", lidx);
         BeepCapture::new(
             self.bandpass.filtfilt_channels(capture.channels()),
             capture.sample_rate(),
@@ -237,12 +243,8 @@ impl EchoImagePipeline {
         echo_obs::counter!("pipeline.beeps_imaged").add(captures.len() as u64);
         let (filtered, analytic): (Vec<BeepCapture>, Vec<_>) =
             parallel_map_indexed(captures, self.config.threads, |i, c| {
-                let filtered = {
-                    let _t = ctx.child_at("stage.preprocess", i as u64);
-                    self.preprocess(c)
-                };
-                let _t = ctx.child_at("stage.analytic", i as u64);
-                let analytic = crate::distance::analytic_channels(&filtered);
+                let filtered = self.preprocess_at(ctx, i as u64, c);
+                let analytic = crate::distance::analytic_channels(ctx, i as u64, &filtered);
                 (filtered, analytic)
             })
             .into_iter()
@@ -308,8 +310,7 @@ impl EchoImagePipeline {
     /// [`EchoImagePipeline::features_batch`] recording a
     /// `stage.features` trace span under `ctx`.
     pub fn features_batch_traced(&self, ctx: TraceCtx, images: &[GrayImage]) -> Vec<Vec<f64>> {
-        let _span = echo_obs::span!("stage.features");
-        let mut tspan = ctx.child("stage.features");
+        let mut tspan = echo_obs::stage!(ctx, "stage.features");
         tspan.attr_u64("images", images.len() as u64);
         echo_obs::counter!("pipeline.features_extracted").add(images.len() as u64);
         self.features

@@ -15,17 +15,17 @@
 //! (`f64::to_bits`), so no two distinct geometries ever share an entry.
 //!
 //! Lookups feed the `steering_cache.hit` / `steering_cache.miss`
-//! counters. The hit/miss decision is made while holding the cache
-//! lock, and a miss publishes its in-flight slot before releasing it,
-//! so the counts are deterministic for a fixed workload at any worker
-//! count (as long as the working set fits `CACHE_CAPACITY`, which it
-//! does by design).
+//! counters through an [`echo_dsp::slot_cache::SlotCache`], which
+//! classifies a lookup under its lock and publishes a miss's in-flight
+//! slot before releasing it, so the counts are deterministic for a
+//! fixed workload at any worker count (as long as the working set fits
+//! `CACHE_CAPACITY`, which it does by design).
 
 use crate::config::ImagingConfig;
 use echo_array::{Direction, MicArray, Vec3};
+use echo_dsp::slot_cache::SlotCache;
 use echo_dsp::Complex;
-use parking_lot::Mutex;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Steering data for one grid cell.
 #[derive(Debug, Clone)]
@@ -70,20 +70,17 @@ struct FieldKey {
     f0_bits: u64,
 }
 
-/// One cache entry: the slot is published under the lock before the
-/// field exists, so racing workers share a single computation
-/// (`OnceLock::get_or_init` blocks the laggards) and the hit/miss
-/// split is decided at key-lookup time — deterministic for a fixed
-/// workload regardless of thread count or interleaving.
-type Slot = Arc<OnceLock<Arc<SteeringField>>>;
-
-/// Most-recently-used-first list; linear scan is fine at this size.
-static CACHE: Mutex<Vec<(FieldKey, Slot)>> = Mutex::new(Vec::new());
-
 /// Distinct geometries kept alive. A run touches one array, one grid
 /// and a few plane distances (estimate ± enrolment offsets), so eight
 /// entries hold the whole working set.
 const CACHE_CAPACITY: usize = 8;
+
+/// The process-wide fields. A field is thousands of steering vectors,
+/// so it is computed outside the cache lock: beeps of *different*
+/// geometries never serialise on it, and workers racing for the same
+/// key share one computation, counted as one miss.
+static CACHE: SlotCache<FieldKey, SteeringField> =
+    SlotCache::new(CACHE_CAPACITY, "steering_cache.hit", "steering_cache.miss");
 
 /// Computes the steering field directly, bypassing the cache. Public so
 /// benchmarks can price the miss path and tests can verify hits against
@@ -126,38 +123,19 @@ pub fn steering_field(
         distance_bits: horizontal_distance.to_bits(),
         f0_bits: f0.to_bits(),
     };
-    let slot = {
-        let mut cache = CACHE.lock();
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-            echo_obs::counter!("steering_cache.hit").inc();
-            let hit = cache.remove(pos);
-            let slot = Arc::clone(&hit.1);
-            cache.insert(0, hit);
-            slot
-        } else {
-            echo_obs::counter!("steering_cache.miss").inc();
-            let slot: Slot = Arc::new(OnceLock::new());
-            cache.insert(0, (key, Arc::clone(&slot)));
-            cache.truncate(CACHE_CAPACITY);
-            slot
-        }
-    };
-    // Compute outside the lock: a field is thousands of steering
-    // vectors, and concurrent beeps of *different* geometries should
-    // not serialize on it. Workers racing for the same key coalesce on
-    // the slot's `get_or_init` — exactly one computes, the rest block
-    // for the shared result, and the miss above was counted once.
-    Arc::clone(slot.get_or_init(|| Arc::new(compute_field(array, icfg, horizontal_distance, f0))))
+    CACHE
+        .get_or_compute(key, || compute_field(array, icfg, horizontal_distance, f0))
+        .0
 }
 
 /// Number of geometries currently cached (for tests and benchmarks).
 pub fn cache_len() -> usize {
-    CACHE.lock().len()
+    CACHE.entry_count()
 }
 
 /// Empties the cache (for tests and benchmarks that need a cold start).
 pub fn clear_cache() {
-    CACHE.lock().clear();
+    CACHE.clear();
 }
 
 #[cfg(test)]

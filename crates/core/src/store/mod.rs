@@ -50,7 +50,6 @@ use crate::auth::{AuthAttempt, AuthDecision};
 use crate::error::EchoImageError;
 use echo_obs::{AuthAudit, AuthVerdict, RejectKind, TraceCtx};
 use std::fmt;
-use std::time::Instant;
 
 /// Candidate-lookup latency histogram (per beep): the time the coarse
 /// prefilter takes to produce the top-K candidate set.
@@ -287,8 +286,7 @@ pub fn identify_traced(
     config: &IdentifyConfig,
     attempt: AuthAttempt,
 ) -> Result<AuthDecision, EchoImageError> {
-    let mut tspan = ctx.child_at("stage.identify", attempt.retry_index);
-    let started = echo_obs::is_enabled().then(Instant::now);
+    let mut tspan = echo_obs::stage!(ctx, "stage.identify", attempt.retry_index);
     echo_obs::counter!("store.identify_attempts").inc();
     let beeps = features.len() as u64;
     let reject_audit = |reason: String| AuthAudit {
@@ -354,12 +352,10 @@ pub fn identify_traced(
                 }
                 None => {
                     let xq: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-                    let t0 = echo_obs::is_enabled().then(Instant::now);
-                    let cands = store.candidates(&xq, config.top_k);
-                    if let Some(t) = t0 {
-                        echo_obs::histogram!(LOOKUP_HISTOGRAM)
-                            .observe_ns(t.elapsed().as_nanos() as u64);
-                    }
+                    let cands = {
+                        let _t = echo_obs::stage!(TraceCtx::none(), LOOKUP_HISTOGRAM);
+                        store.candidates(&xq, config.top_k)
+                    };
                     echo_obs::gauge!(CANDIDATES_GAUGE).set(cands.len() as i64);
                     best_of(
                         cands
@@ -442,9 +438,6 @@ pub fn identify_traced(
         });
         Ok(decision)
     })();
-    if let Some(t0) = started {
-        echo_obs::histogram!("stage.identify").observe_ns(t0.elapsed().as_nanos() as u64);
-    }
     tspan.attr_bool("accepted", matches!(&outcome, Ok(d) if d.is_accepted()));
     outcome
 }

@@ -86,8 +86,8 @@ impl GateTemplate {
 /// `decision − threshold` — the single evaluator every backend (heap
 /// templates and mmap'd shard bytes alike) funnels through, which is
 /// what makes round-tripped margins bit-identical to the in-memory
-/// path. Deliberately *not* the SIMD `sqdist_f64` kernel: that one uses
-/// lane-strided summation and would change the bits.
+/// path. Deliberately a plain left-to-right loop, not a lane-strided
+/// SIMD reduction, which would change the bits.
 pub fn gate_margin_flat(
     gamma: f64,
     rho: f64,

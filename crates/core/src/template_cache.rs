@@ -3,8 +3,8 @@
 //! Every distance estimate matched-filters each beep against the *same*
 //! analytic chirp template (paper Eq. 9). Synthesising that template and
 //! re-transforming it per call cost one chirp synthesis, one Hilbert
-//! transform, and one forward FFT per capture. This cache — the same
-//! MRU-list pattern as [`crate::steering_cache`] — keys an
+//! transform, and one forward FFT per capture. This cache — a
+//! [`SlotCache`] like [`crate::steering_cache`] — keys an
 //! [`echo_dsp::correlate::MatchedFilterPlan`] on the beep parameters, so
 //! a process re-pays the template only when the beep design changes
 //! (ablation sweeps), not per authentication.
@@ -16,7 +16,8 @@
 use crate::config::BeepConfig;
 use echo_dsp::correlate::MatchedFilterPlan;
 use echo_dsp::hilbert::analytic_signal;
-use std::sync::{Arc, Mutex, OnceLock};
+use echo_dsp::slot_cache::SlotCache;
+use std::sync::Arc;
 
 /// Beep parameters that determine the chirp template, as exact bits.
 type TemplateKey = [u64; 4];
@@ -31,17 +32,15 @@ fn template_key(beep: &BeepConfig) -> TemplateKey {
     ]
 }
 
-/// One cache entry: the slot is published under the lock before the
-/// plan exists, so racing workers coalesce on one synthesis and the
-/// `template_cache.hit` / `template_cache.miss` counters are
-/// deterministic for a fixed workload at any worker count.
-type Slot = Arc<OnceLock<Arc<MatchedFilterPlan>>>;
-
-/// Most-recently-used-first plan list.
-static CACHE: Mutex<Vec<(TemplateKey, Slot)>> = Mutex::new(Vec::new());
-
 /// Distinct beep designs kept alive; runs use one, ablations a handful.
 const CAPACITY: usize = 4;
+
+/// The process-wide plans. A plan is synthesised outside the cache
+/// lock; same-key racers share the one synthesis, counted as one miss,
+/// so the `template_cache.hit` / `template_cache.miss` counters are
+/// deterministic for a fixed workload at any worker count.
+static CACHE: SlotCache<TemplateKey, MatchedFilterPlan> =
+    SlotCache::new(CAPACITY, "template_cache.hit", "template_cache.miss");
 
 /// Returns the matched-filter plan for `beep`'s *analytic* chirp
 /// template (the one the distance estimator correlates beamformed
@@ -56,40 +55,20 @@ pub fn chirp_template_plan(beep: &BeepConfig) -> Arc<MatchedFilterPlan> {
 /// deterministic for a fixed workload and cache state (unlike the
 /// steering-field cache, whose parallel lookups coalesce racers).
 pub fn chirp_template_plan_classified(beep: &BeepConfig) -> (Arc<MatchedFilterPlan>, bool) {
-    let key = template_key(beep);
-    let (slot, cache_hit) = {
-        let mut cache = CACHE.lock().expect("chirp template cache poisoned");
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-            echo_obs::counter!("template_cache.hit").inc();
-            let hit = cache.remove(pos);
-            let slot = Arc::clone(&hit.1);
-            cache.insert(0, hit);
-            (slot, true)
-        } else {
-            echo_obs::counter!("template_cache.miss").inc();
-            let slot: Slot = Arc::new(OnceLock::new());
-            cache.insert(0, (key, Arc::clone(&slot)));
-            cache.truncate(CAPACITY);
-            (slot, false)
-        }
-    };
-    // Synthesise outside the lock; same-key racers block on the slot
-    // and share the one plan instead of duplicating the synthesis.
-    let plan = Arc::clone(slot.get_or_init(|| {
+    CACHE.get_or_compute(template_key(beep), || {
         let chirp = beep.chirp().samples();
-        Arc::new(MatchedFilterPlan::new_complex(&analytic_signal(&chirp)))
-    }));
-    (plan, cache_hit)
+        MatchedFilterPlan::new_complex(&analytic_signal(&chirp))
+    })
 }
 
 /// Number of templates currently cached (for tests and benchmarks).
 pub fn template_cache_len() -> usize {
-    CACHE.lock().expect("chirp template cache poisoned").len()
+    CACHE.entry_count()
 }
 
 /// Empties the template cache (for tests needing a cold start).
 pub fn clear_template_cache() {
-    CACHE.lock().expect("chirp template cache poisoned").clear();
+    CACHE.clear();
 }
 
 #[cfg(test)]

@@ -77,8 +77,8 @@ fn deterministic_metrics() -> BTreeMap<String, u64> {
     let snap = echo_obs::snapshot();
     let mut map: BTreeMap<String, u64> =
         snap.counters.into_iter().filter(|&(_, v)| v != 0).collect();
-    for h in snap.histograms.into_iter().filter(|h| h.count != 0) {
-        map.insert(format!("{}#count", h.name), h.count);
+    for (name, h) in snap.histograms.into_iter().filter(|(_, h)| h.count != 0) {
+        map.insert(format!("{name}#count"), h.count);
     }
     map
 }

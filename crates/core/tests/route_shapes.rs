@@ -17,13 +17,15 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use echo_sim::fault::{ChannelFault, FaultKind, FaultPlan};
 use echo_sim::{BeepCapture, BodyModel, Placement, Scene, SceneConfig};
-use echoimage_core::auth::Authenticator;
-use echoimage_core::config::ImagingConfig;
+use echoimage_core::auth::{AuthAttempt, AuthConfig, Authenticator};
+use echoimage_core::config::{ImagingConfig, SpatialCheckConfig};
 use echoimage_core::enrollment::{self, EnrollRequest, EnrollmentConfig};
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
+use echoimage_core::store::{self, IdentifyConfig, MemoryStore, TemplateBuilder};
 use echoimage_core::{steering_cache, template_cache};
 
 const GOLDEN: &str = include_str!("route_shapes.golden");
@@ -61,8 +63,8 @@ fn render() -> String {
     let snap = echo_obs::snapshot();
     let mut counts: BTreeMap<String, u64> =
         snap.counters.into_iter().filter(|&(_, v)| v != 0).collect();
-    for h in snap.histograms.into_iter().filter(|h| h.count != 0) {
-        counts.insert(format!("{}#count", h.name), h.count);
+    for (name, h) in snap.histograms.into_iter().filter(|(_, h)| h.count != 0) {
+        counts.insert(format!("{name}#count"), h.count);
     }
     for (name, n) in counts {
         writeln!(out, "count {name} {n}").unwrap();
@@ -117,8 +119,24 @@ fn every_production_route_keeps_its_shape() {
         ..PipelineConfig::default()
     });
     let enrolled = p.features_from_train(&train(6, 0)).unwrap();
-    let auth = Authenticator::enroll(&[(1, enrolled)], &Default::default()).unwrap();
+    let auth = Authenticator::enroll(&[(1, enrolled.clone())], &Default::default()).unwrap();
     let probe = train(3, 7_000);
+    // The daemon decides on features its batcher already extracted.
+    let probe_features = p.features_from_train(&probe).unwrap();
+    let builder = TemplateBuilder::new(auth.scaler().clone(), AuthConfig::default());
+    let template = Arc::new(builder.build_user(1, &[enrolled]).unwrap());
+    let memory = MemoryStore::from_templates(builder.scaler(), vec![template]).unwrap();
+    let screening = EchoImagePipeline::new(PipelineConfig {
+        spatial: SpatialCheckConfig {
+            enabled: true,
+            ..SpatialCheckConfig::default()
+        },
+        ..p.config().clone()
+    });
+    let served = AuthAttempt {
+        claimed_user: Some(1),
+        retry_index: 0,
+    };
     let dead_probe = dead_mic_0(&probe);
     let visits: Vec<Vec<BeepCapture>> = (1..=2).map(|v| train(2, 500 * v)).collect();
     let dead_visits: Vec<Vec<BeepCapture>> = visits.iter().map(|v| dead_mic_0(v)).collect();
@@ -144,6 +162,21 @@ fn every_production_route_keeps_its_shape() {
     });
     check(&mut moved, "auth_claimed_dead_mic_train", || {
         auth.authenticate_train_claimed(&p, &dead_probe, 1).unwrap();
+    });
+    check(&mut moved, "auth_claimed_spatial_screen", || {
+        auth.authenticate_train_claimed(&screening, &probe, 1)
+            .unwrap();
+    });
+    check(&mut moved, "auth_features_under_caller", || {
+        let caller = echo_obs::root_span("test.caller");
+        auth.authenticate_features_traced(caller.ctx(), &probe_features, served)
+            .unwrap();
+    });
+    check(&mut moved, "identify_memory_store_under_caller", || {
+        let caller = echo_obs::root_span("test.caller");
+        let identify = IdentifyConfig::default();
+        let attempt = AuthAttempt::default();
+        store::identify_traced(&memory, caller.ctx(), &probe_features, &identify, attempt).unwrap();
     });
     check(&mut moved, "enrollment_two_visits", || {
         enrollment::enrollment_features(&p, &visits, &recipe).unwrap();

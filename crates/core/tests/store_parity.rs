@@ -273,9 +273,9 @@ fn store_metrics_are_deterministic_and_reader_independent() {
             .into_iter()
             .filter(|(name, v)| name.starts_with("store.") && *v != 0)
             .collect();
-        for h in snap.histograms {
-            if h.name.starts_with("store.") && h.count != 0 {
-                map.insert(format!("{}#count", h.name), h.count);
+        for (name, h) in snap.histograms {
+            if name.starts_with("store.") && h.count != 0 {
+                map.insert(format!("{name}#count"), h.count);
             }
         }
         for (name, v) in snap.gauges {

@@ -296,3 +296,55 @@ fn disabled_recorder_records_nothing_and_changes_nothing() {
     assert!(!echo_obs::take_spans().is_empty());
     assert_features_bit_identical(&dark, &lit);
 }
+
+/// One timer per stage: in a fully sampled claimed authentication, every
+/// stage that records both spans and a histogram feeds the histogram the
+/// spans' own durations — one observation per span, and the same
+/// nanoseconds in total, exactly.
+#[test]
+fn stage_histograms_sum_their_spans_exactly() {
+    const STAGES: [&str; 7] = [
+        "stage.analytic",
+        "stage.auth",
+        "stage.distance",
+        "stage.features",
+        "stage.imaging",
+        "stage.imaging.weights",
+        "stage.preprocess",
+    ];
+    let _g = guard();
+    let caps = capture_train(3);
+    let pipeline = EchoImagePipeline::new(config(pool_threads()));
+    let enroll_feats = pipeline.features_from_train(&caps).unwrap();
+    let auth = Authenticator::enroll(&[(1, enroll_feats)], &Default::default()).unwrap();
+
+    echo_obs::reset();
+    echo_obs::reset_traces();
+    auth.authenticate_train_claimed(&pipeline, &caps, 1)
+        .unwrap();
+    let spans = echo_obs::take_spans();
+    let snap = echo_obs::snapshot();
+
+    let mut both: Vec<&str> = snap
+        .histograms
+        .iter()
+        .filter(|(name, h)| h.count > 0 && spans.iter().any(|s| s.name == name.as_str()))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    both.sort_unstable();
+    assert_eq!(both, STAGES, "stages timed by both a span and a histogram");
+    for name in STAGES {
+        let durations: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.dur_ns)
+            .collect();
+        let hist = snap.histogram(name).unwrap();
+        assert_eq!(hist.count, durations.len() as u64, "{name}: one per span");
+        assert_eq!(
+            hist.sum_ns,
+            durations.iter().sum::<u64>(),
+            "{name}: the histogram must hold the spans' own durations"
+        );
+    }
+}

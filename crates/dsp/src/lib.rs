@@ -9,6 +9,8 @@
 //! * [`hilbert`] — analytic signal and envelope detection,
 //! * [`correlate`] — FFT matched filtering (paper Eq. 9),
 //! * [`plan`] — precomputed, LRU-cached FFT plans shared by the hot paths,
+//! * [`slot_cache`] — the process-wide MRU cache behind every plan, steering
+//!   and template cache (classify under the lock, compute outside it),
 //! * [`peaks`] — local-maxima search used for echo detection (paper §V-B),
 //! * [`interp`] — fractional-delay interpolation used by the scene simulator,
 //! * [`stats`] — small numeric helpers shared across crates.
@@ -47,6 +49,7 @@ pub mod interp;
 pub mod peaks;
 pub mod plan;
 pub mod simd;
+pub mod slot_cache;
 pub mod stats;
 
 pub use complex::Complex;

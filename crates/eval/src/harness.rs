@@ -281,7 +281,7 @@ impl Harness {
     ) -> Vec<Result<Vec<Vec<f64>>, EchoImageError>> {
         let root = echo_obs::root_span("eval.batch");
         let ctx = root.ctx();
-        let _span = echo_obs::span!("stage.eval_batch");
+        let _t = echo_obs::stage!(TraceCtx::none(), "stage.eval_batch");
         echo_obs::counter!("eval.jobs").add(jobs.len() as u64);
         let worker = self.worker_pipeline();
         let results = parallel_map_indexed(jobs, self.threads, |i, (profile, spec)| {

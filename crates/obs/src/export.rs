@@ -9,7 +9,6 @@
 
 use crate::audit::{AuthAudit, AuthVerdict};
 use crate::json::{escape_json, json_f64};
-use crate::metrics::BUCKET_BOUNDS_NS;
 use crate::snapshot::MetricsSnapshot;
 use crate::trace::{AttrValue, SpanEvent};
 use crate::window::{WindowSnapshot, REJECT_LABELS, ROLLUP_SPANS};
@@ -293,25 +292,19 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "# TYPE {n} gauge");
         let _ = writeln!(out, "{n} {value}");
     }
-    for h in &snap.histograms {
-        let n = format!("{}_ns", prometheus_sanitize_name(&h.name));
+    for (name, h) in &snap.histograms {
+        let n = format!("{}_ns", prometheus_sanitize_name(name));
         let _ = writeln!(
             out,
             "# HELP {n} Latency histogram `{}` (nanoseconds).",
-            escape_json(&h.name)
+            escape_json(name)
         );
         let _ = writeln!(out, "# TYPE {n} histogram");
         let mut cumulative = 0u64;
-        for (i, &count) in h.buckets.iter().enumerate() {
+        for (bound, count) in h.iter_buckets() {
             cumulative += count;
-            match BUCKET_BOUNDS_NS.get(i) {
-                Some(bound) => {
-                    let _ = writeln!(out, "{n}_bucket{{le=\"{bound}\"}} {cumulative}");
-                }
-                None => {
-                    let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {cumulative}");
-                }
-            }
+            let le: &dyn std::fmt::Display = bound.as_ref().map_or(&"+Inf", |b| b);
+            let _ = writeln!(out, "{n}_bucket{{le=\"{le}\"}} {cumulative}");
         }
         let _ = writeln!(out, "{n}_sum {}", h.sum_ns);
         let _ = writeln!(out, "{n}_count {}", h.count);
@@ -569,22 +562,16 @@ mod tests {
 
     #[test]
     fn prometheus_text_renders_types_and_cumulative_buckets() {
-        use crate::snapshot::HistogramSnapshot;
-        let mut buckets = vec![0u64; BUCKET_BOUNDS_NS.len() + 1];
-        (buckets[0], buckets[1]) = (2, 3);
-        *buckets.last_mut().unwrap() = 1; // one overflow observation
+        let mut e2e = crate::HistogramSnapshot::default();
+        for ns in [500, 1_000, 2_000, 3_000, 5_000, 11_000_000_000] {
+            e2e.observe_ns(ns);
+        }
+        e2e.sum_ns = 12_345;
         let snap = MetricsSnapshot {
             enabled: true,
             counters: vec![("auth.attempts".into(), 7)],
             gauges: vec![("serve.queue_depth".into(), -2)],
-            histograms: vec![HistogramSnapshot {
-                name: "serve.e2e".into(),
-                count: 6,
-                sum_ns: 12_345,
-                min_ns: Some(500),
-                max_ns: Some(11_000_000_000),
-                buckets,
-            }],
+            histograms: vec![("serve.e2e".into(), e2e)],
         };
         let text = prometheus_text(&snap);
         assert!(text.contains("# TYPE auth_attempts counter"));

@@ -7,17 +7,22 @@
 //! * [`Gauge`] — a settable `i64` level (cache occupancy, configured
 //!   thread count),
 //! * [`Histogram`] — fixed-bucket latency distribution in nanoseconds,
-//!   fed by RAII [`Span`]s timed on the monotonic clock.
+//!   fed by stage timers ([`stage!`]): one clock reading per scope that
+//!   also times the scope's trace span when traced. Its plain value
+//!   form, [`HistogramSnapshot`], is the one histogram type everything
+//!   else carries: registry snapshots, window epochs and rollups, and
+//!   the serving layer's Stats wire.
 //!
 //! Call sites name metrics through the [`counter!`], [`gauge!`],
-//! [`histogram!`] and [`span!`] macros, which resolve the registry entry
+//! [`histogram!`] and [`stage!`] macros, which resolve the registry entry
 //! once per call site and cache the `&'static` handle in a local
 //! `OnceLock` — after the first pass a counter bump is one relaxed
 //! atomic load (the enabled flag) plus one relaxed `fetch_add`.
 //!
 //! The whole registry can be disabled ([`set_enabled`]): every metric
-//! operation then reduces to the single flag load and spans skip the
-//! clock entirely, so instrumented hot paths run at ~zero overhead.
+//! operation then reduces to the single flag load and untraced stage
+//! timers skip the clock entirely, so instrumented hot paths run at
+//! ~zero overhead.
 //!
 //! # Determinism contract
 //!
@@ -46,24 +51,27 @@
 //! # Example
 //!
 //! ```
+//! use echo_obs::TraceCtx;
+//!
 //! echo_obs::counter!("doc.events").inc();
 //! {
-//!     let _span = echo_obs::span!("doc.stage");
+//!     let _timer = echo_obs::stage!(TraceCtx::none(), "doc.stage");
 //!     // ... timed work ...
 //! }
 //! let snap = echo_obs::snapshot();
 //! assert!(snap.counter("doc.events").unwrap() >= 1);
+//! assert_eq!(snap.histogram("doc.stage").unwrap().count, 1);
 //! assert!(snap.to_json().contains("\"doc.stage\""));
 //! ```
 
 pub mod audit;
 pub mod export;
+mod histogram;
 pub mod json;
 mod metrics;
 mod registry;
 pub mod sketch;
 mod snapshot;
-mod span;
 pub mod trace;
 pub mod window;
 
@@ -71,17 +79,17 @@ pub use audit::{
     record_audit, reset_audits, take_audits, tenant_scope, AuthAudit, AuthVerdict, RejectKind,
     TenantScope,
 };
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use json::escape_json;
-pub use metrics::{Counter, Gauge, Histogram, BUCKET_BOUNDS_NS};
+pub use metrics::{Counter, Gauge};
 pub use registry::{is_enabled, registry, reset, set_enabled, Registry};
 pub use sketch::{psi, Sketch, SKETCH_BINS};
-pub use snapshot::{snapshot, HistogramSnapshot, MetricsSnapshot};
-pub use span::Span;
+pub use snapshot::{snapshot, MetricsSnapshot};
 pub use trace::{
     reset_traces, root_span, set_trace_enabled, set_trace_sampling, take_spans, trace_enabled,
     trace_events_dropped, trace_sampling, SpanEvent, TraceCtx, TraceSpan,
 };
-pub use window::{DriftAlarm, LatHist, WindowRollup, WindowSnapshot};
+pub use window::{DriftAlarm, WindowRollup, WindowSnapshot};
 
 #[cfg(test)]
 pub(crate) fn unit_test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -124,13 +132,21 @@ macro_rules! histogram {
     }};
 }
 
-/// Opens an RAII [`Span`] over the named histogram: the span records its
-/// wall-clock lifetime (monotonic, nanoseconds) into the histogram when
-/// dropped. Bind it — `let _span = span!("stage.imaging");` — or the
-/// span closes immediately.
+/// Opens the stage timer `$name` as child `$lidx` (default 0) of the
+/// [`TraceCtx`] `$ctx`: a [`TraceSpan`] that feeds its one measured
+/// duration to the same-named [`Histogram`] (resolved once per call site,
+/// as [`histogram!`] does) and, when `$ctx` is live, records it as a
+/// trace span too. Under [`TraceCtx::none`] only the histogram records.
+/// Bind it — `let _t = stage!(ctx, "stage.imaging", lidx);` — or the
+/// timer closes immediately.
 #[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::Span::enter($crate::histogram!($name))
+macro_rules! stage {
+    ($ctx:expr, $name:expr) => {
+        $crate::stage!($ctx, $name, 0)
     };
+    ($ctx:expr, $name:expr, $lidx:expr) => {{
+        let mut span = $ctx.child_at($name, $lidx);
+        span.time_into($crate::histogram!($name));
+        span
+    }};
 }

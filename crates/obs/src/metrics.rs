@@ -1,4 +1,6 @@
-//! The three metric primitives: [`Counter`], [`Gauge`], [`Histogram`].
+//! The two scalar metric primitives, [`Counter`] and [`Gauge`]; the
+//! third, [`crate::Histogram`], lives with its bucket ladder in
+//! `histogram.rs`.
 //!
 //! All of them are plain atomics with `Relaxed` ordering — metric reads
 //! never synchronise with each other, a snapshot is only guaranteed to
@@ -7,28 +9,6 @@
 
 use crate::registry::collecting;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-/// Histogram bucket upper bounds in nanoseconds (inclusive), a coarse
-/// log ladder from 1µs to 10s. One extra overflow bucket catches
-/// everything above the last bound.
-pub const BUCKET_BOUNDS_NS: [u64; 16] = [
-    1_000,          // 1µs
-    5_000,          // 5µs
-    10_000,         // 10µs
-    50_000,         // 50µs
-    100_000,        // 100µs
-    500_000,        // 500µs
-    1_000_000,      // 1ms
-    5_000_000,      // 5ms
-    10_000_000,     // 10ms
-    50_000_000,     // 50ms
-    100_000_000,    // 100ms
-    500_000_000,    // 500ms
-    1_000_000_000,  // 1s
-    2_500_000_000,  // 2.5s
-    5_000_000_000,  // 5s
-    10_000_000_000, // 10s
-];
 
 /// A monotonically increasing event count.
 #[derive(Debug)]
@@ -105,91 +85,5 @@ impl Gauge {
 
     pub(crate) fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A fixed-bucket latency histogram over nanosecond observations.
-///
-/// Buckets are bounded by [`BUCKET_BOUNDS_NS`] plus one overflow bucket;
-/// `count`/`sum`/`min`/`max` are tracked alongside so snapshots can
-/// report a mean without walking buckets.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKET_BOUNDS_NS.len() + 1],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl Histogram {
-    pub(crate) const fn new() -> Self {
-        // `[AtomicU64::new(0); N]` needs Copy; use an inline-const block.
-        Self {
-            buckets: [const { AtomicU64::new(0) }; BUCKET_BOUNDS_NS.len() + 1],
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation of `ns` nanoseconds (no-op while the
-    /// registry is disabled).
-    pub fn observe_ns(&self, ns: u64) {
-        if !collecting() {
-            return;
-        }
-        let idx = BUCKET_BOUNDS_NS
-            .iter()
-            .position(|&bound| ns <= bound)
-            .unwrap_or(BUCKET_BOUNDS_NS.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed nanoseconds.
-    #[inline]
-    pub fn sum_ns(&self) -> u64 {
-        self.sum_ns.load(Ordering::Relaxed)
-    }
-
-    /// Smallest observation, or `None` before the first one.
-    pub fn min_ns(&self) -> Option<u64> {
-        let v = self.min_ns.load(Ordering::Relaxed);
-        (v != u64::MAX).then_some(v)
-    }
-
-    /// Largest observation, or `None` before the first one.
-    pub fn max_ns(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.max_ns.load(Ordering::Relaxed))
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> [u64; BUCKET_BOUNDS_NS.len() + 1] {
-        let mut out = [0u64; BUCKET_BOUNDS_NS.len() + 1];
-        for (slot, bucket) in out.iter_mut().zip(self.buckets.iter()) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    pub(crate) fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
     }
 }

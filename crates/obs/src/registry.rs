@@ -4,7 +4,8 @@
 //! and live for the rest of the process (`Box::leak`) so call sites can
 //! hold `&'static` handles with no reference counting on the hot path.
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::histogram::Histogram;
+use crate::metrics::{Counter, Gauge};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -20,7 +21,7 @@ pub(crate) fn collecting() -> bool {
 
 /// Enables or disables collection process-wide. Disabling does not
 /// clear already-recorded values (use [`reset`] for that); it stops
-/// further recording and makes spans skip the clock.
+/// further recording and makes untraced stage timers skip the clock.
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }

@@ -120,8 +120,10 @@ impl Sketch {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        // Target rank on [0, count-1], same convention as
-        // `HistogramSnapshot::quantile_ns`.
+        // Fractional target rank `q·(count−1)` on [0, count−1],
+        // interpolated inside the bin that holds it. (The latency
+        // histogram's `quantile_ns` differs: it takes the nearest rank
+        // `⌈q·count⌉`.)
         let rank = q * (self.count - 1) as f64;
         let mut seen = 0u64;
         for (i, &c) in self.bins.iter().enumerate() {

@@ -32,13 +32,24 @@
 //! therefore report the same sequence numbers no matter how their
 //! threads interleaved.
 //!
+//! # One timer
+//!
+//! A [`TraceSpan`] is also the crate's only scope timer. A child timed
+//! into a histogram ([`TraceSpan::time_into`], which the [`crate::stage!`]
+//! macro calls) reads the trace-epoch clock once at open and once at
+//! close, feeds that one duration to the histogram whenever the registry
+//! is enabled, and records the same duration as its
+//! [`SpanEvent::dur_ns`] when the context is live. A stage's histogram
+//! and its spans therefore sum to the same nanoseconds.
+//!
 //! # Cost when off
 //!
 //! Tracing is off by default. [`root_span`] then reduces to one relaxed
 //! atomic load returning a dead span; dead contexts produce dead
 //! children for free, and dead spans skip attribute pushes and record
-//! nothing on drop.
+//! nothing on drop beyond their histogram, if they carry one.
 
+use crate::histogram::Histogram;
 use crate::registry::collecting;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -267,25 +278,37 @@ impl TraceCtx {
             parent: self.span,
             name,
             lidx,
-            start_ns: now_ns(),
+            start_ns: Some(now_ns()),
+            histogram: None,
+            also: None,
             attrs: Vec::new(),
-            live: true,
         }
     }
 }
 
-/// An open span. Records itself into the ring buffer on drop (RAII, so
-/// early returns and `?` propagation are covered). Attribute setters
-/// take `&mut self`; on a dead span they are no-ops.
+/// An open span, and the crate's one scope timer. On close — drop, so
+/// early returns and `?` propagation are covered — it feeds its measured
+/// duration to the histograms it carries and, when its context is live,
+/// records itself into the ring buffer. Attribute setters take
+/// `&mut self`; on a span that is not live they are no-ops.
+#[must_use = "a span records on drop; bind it, or it closes at once"]
 #[derive(Debug)]
 pub struct TraceSpan {
+    /// The span's own context; dead unless the span records a trace event.
     ctx: TraceCtx,
     parent: u64,
     name: &'static str,
     lidx: u64,
-    start_ns: u64,
+    /// Clock reading at open (ns since the trace epoch); `None` when
+    /// nothing records this span, so the clock is never read.
+    start_ns: Option<u64>,
+    /// The stage histogram the closing duration feeds
+    /// ([`TraceSpan::time_into`]).
+    histogram: Option<&'static Histogram>,
+    /// A sub-population of that stage fed the same duration
+    /// ([`TraceSpan::also_time_into`]).
+    also: Option<&'static Histogram>,
     attrs: Vec<(&'static str, AttrValue)>,
-    live: bool,
 }
 
 impl TraceSpan {
@@ -295,9 +318,32 @@ impl TraceSpan {
             parent: 0,
             name: "",
             lidx: 0,
-            start_ns: 0,
+            start_ns: None,
+            histogram: None,
+            also: None,
             attrs: Vec::new(),
-            live: false,
+        }
+    }
+
+    /// Makes this span a stage timer: its closing duration feeds
+    /// `histogram`, live context or not, while the registry is enabled
+    /// (the span's clock starts here if it has none). Call it through
+    /// [`crate::stage!`], which resolves the histogram named like the
+    /// stage.
+    pub fn time_into(&mut self, histogram: &'static Histogram) {
+        if collecting() {
+            self.start_ns.get_or_insert_with(now_ns);
+            self.histogram = Some(histogram);
+        }
+    }
+
+    /// Also feeds a stage timer's closing duration to `histogram`, which
+    /// counts a sub-population of the stage by the stage's own
+    /// measurement (the degraded share of `stage.auth`). A no-op on a
+    /// span that times no stage.
+    pub fn also_time_into(&mut self, histogram: &'static Histogram) {
+        if self.histogram.is_some() {
+            self.also = Some(histogram);
         }
     }
 
@@ -306,13 +352,13 @@ impl TraceSpan {
         self.ctx
     }
 
-    /// Whether this span will record on drop.
+    /// Whether this span will record a trace event on drop.
     pub fn is_live(&self) -> bool {
-        self.live
+        self.ctx.is_live()
     }
 
     fn push_attr(&mut self, key: &'static str, value: AttrValue) {
-        if self.live {
+        if self.is_live() {
             self.attrs.push((key, value));
         }
     }
@@ -336,21 +382,26 @@ impl TraceSpan {
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        if !self.live {
+        let Some(start_ns) = self.start_ns else {
             return;
+        };
+        let dur_ns = now_ns().saturating_sub(start_ns);
+        for histogram in [self.histogram, self.also].into_iter().flatten() {
+            histogram.observe_ns(dur_ns);
         }
-        let end = now_ns();
-        push_event(SpanEvent {
-            trace: self.ctx.trace,
-            span: self.ctx.span,
-            parent: self.parent,
-            name: self.name,
-            lidx: self.lidx,
-            start_ns: self.start_ns,
-            dur_ns: end.saturating_sub(self.start_ns),
-            seq: 0,
-            attrs: std::mem::take(&mut self.attrs),
-        });
+        if self.is_live() {
+            push_event(SpanEvent {
+                trace: self.ctx.trace,
+                span: self.ctx.span,
+                parent: self.parent,
+                name: self.name,
+                lidx: self.lidx,
+                start_ns,
+                dur_ns,
+                seq: 0,
+                attrs: std::mem::take(&mut self.attrs),
+            });
+        }
     }
 }
 
@@ -380,9 +431,10 @@ pub fn root_span(name: &'static str) -> TraceSpan {
         parent: 0,
         name,
         lidx: 0,
-        start_ns: now_ns(),
+        start_ns: Some(now_ns()),
+        histogram: None,
+        also: None,
         attrs: Vec::new(),
-        live: true,
     }
 }
 
@@ -586,6 +638,32 @@ mod tests {
         assert!(trace_events_dropped() >= 10);
         let spans = take_spans();
         assert!(spans.len() <= TRACE_RING_CAPACITY);
+    }
+
+    #[test]
+    fn stage_timer_feeds_its_histogram_and_span_one_duration() {
+        let _g = armed();
+        let [hist, also] = ["test.trace.timer", "test.trace.also"].map(|n| {
+            let h = crate::registry().histogram(n);
+            h.reset();
+            h
+        });
+        {
+            let root = root_span("attempt");
+            let mut timer = root.ctx().child_at("stage", 3);
+            timer.time_into(hist);
+            timer.also_time_into(also);
+            // Untraced: the histogram records, the ring does not.
+            let mut untraced = TraceCtx::none().child_at("stage", 4);
+            untraced.time_into(hist);
+        }
+        let spans = take_spans();
+        let stage = spans.iter().find(|s| s.name == "stage").unwrap();
+        assert_eq!((spans.len(), stage.lidx), (2, 3));
+        let (timed, also) = (hist.snapshot(), also.snapshot());
+        assert_eq!(timed.count, 2);
+        assert!(timed.sum_ns >= stage.dur_ns);
+        assert_eq!((also.count, also.sum_ns), (1, stage.dur_ns));
     }
 
     #[test]

@@ -32,10 +32,9 @@
 //! [`take_drift_alarms`]) and bumps the `obs.drift_alarms` counter.
 
 use crate::audit::{AuthAudit, AuthVerdict, RejectKind};
-use crate::metrics::BUCKET_BOUNDS_NS;
+use crate::histogram::HistogramSnapshot;
 use crate::registry::collecting;
 use crate::sketch::{psi, Sketch};
-use crate::snapshot::HistogramSnapshot;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -82,137 +81,10 @@ pub const REJECT_LABELS: [&str; REJECT_CLASSES] = [
     "overloaded",
 ];
 
-/// A windowed latency histogram on the shared [`BUCKET_BOUNDS_NS`]
-/// ladder: plain counts, mergeable, no atomics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatHist {
-    pub count: u64,
-    pub sum_ns: u64,
-    pub buckets: [u64; BUCKET_BOUNDS_NS.len() + 1],
-}
-
-impl Default for LatHist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatHist {
-    pub const fn new() -> Self {
-        Self {
-            count: 0,
-            sum_ns: 0,
-            buckets: [0; BUCKET_BOUNDS_NS.len() + 1],
-        }
-    }
-
-    /// Records one observation of `ns` nanoseconds.
-    pub fn observe_ns(&mut self, ns: u64) {
-        let idx = BUCKET_BOUNDS_NS
-            .iter()
-            .position(|&bound| ns <= bound)
-            .unwrap_or(BUCKET_BOUNDS_NS.len());
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
-    }
-
-    /// Adds every bucket of `other` into `self`.
-    pub fn merge(&mut self, other: &LatHist) {
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-    }
-
-    /// Subtracts `earlier` from `self` (for before/after deltas against
-    /// one daemon). Saturates rather than panicking if the windows
-    /// rolled between the two reads.
-    pub fn delta_since(&self, earlier: &LatHist) -> LatHist {
-        let mut out = LatHist::new();
-        for (i, slot) in out.buckets.iter_mut().enumerate() {
-            *slot = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum_ns = self.sum_ns.saturating_sub(earlier.sum_ns);
-        out
-    }
-
-    /// Mean observation in nanoseconds.
-    pub fn mean_ns(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum_ns as f64 / self.count as f64)
-    }
-
-    /// Bucket-resolution `q`-quantile via the shared snapshot
-    /// interpolation (no min/max tightening — windows don't track
-    /// extremes).
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        HistogramSnapshot {
-            name: String::new(),
-            count: self.count,
-            sum_ns: self.sum_ns,
-            min_ns: None,
-            max_ns: None,
-            buckets: self.buckets.to_vec(),
-        }
-        .quantile_ns(q)
-    }
-}
-
-/// One epoch's worth of decisions for one tenant (or the global
-/// aggregate).
-#[derive(Debug, Clone)]
-struct EpochBucket {
-    epoch: u64,
-    decisions: u64,
-    accepted: u64,
-    rejects: [u64; REJECT_CLASSES],
-    margins: Sketch,
-    coherence: Sketch,
-    lat: LatHist,
-    /// Wall-clock open time; feeds `qps` only (outside the
-    /// determinism contract).
-    opened: Instant,
-}
-
-impl EpochBucket {
-    fn new(epoch: u64) -> Self {
-        Self {
-            epoch,
-            decisions: 0,
-            accepted: 0,
-            rejects: [0; REJECT_CLASSES],
-            margins: Sketch::new(),
-            coherence: Sketch::new(),
-            lat: LatHist::new(),
-            opened: Instant::now(),
-        }
-    }
-
-    fn absorb(&mut self, audit: &AuthAudit) {
-        self.decisions += 1;
-        match audit.verdict {
-            AuthVerdict::Accepted { .. } => self.accepted += 1,
-            AuthVerdict::Rejected | AuthVerdict::Overloaded => {
-                if let Some(slot) = reject_slot(audit.reject_kind) {
-                    self.rejects[slot] += 1;
-                }
-            }
-        }
-        if let Some(m) = audit.best_gate_margin {
-            self.margins.add(m);
-        }
-        if let Some(c) = audit.spatial_coherence {
-            self.coherence.add(c);
-        }
-    }
-}
-
 /// Aggregated decisions over a span of epochs — the unit every
 /// [`WindowSnapshot`] reports three of (1 / 8 / 64 epochs) plus a
-/// cumulative one.
-#[derive(Debug, Clone, PartialEq)]
+/// cumulative one. The default value is the empty rollup.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowRollup {
     /// Epochs this rollup spans (including the current partial one).
     pub epochs: u64,
@@ -226,26 +98,13 @@ pub struct WindowRollup {
     /// Spatial-coherence sketch over the span.
     pub coherence: Sketch,
     /// End-to-end latency histogram over the span.
-    pub lat: LatHist,
+    pub lat: HistogramSnapshot,
     /// Decisions per wall-clock second over the span. **Not**
     /// deterministic.
     pub qps: f64,
 }
 
 impl WindowRollup {
-    fn empty() -> Self {
-        Self {
-            epochs: 0,
-            decisions: 0,
-            accepted: 0,
-            rejects: [0; REJECT_CLASSES],
-            margins: Sketch::new(),
-            coherence: Sketch::new(),
-            lat: LatHist::new(),
-            qps: 0.0,
-        }
-    }
-
     fn absorb_audit(&mut self, audit: &AuthAudit) {
         self.decisions += 1;
         match audit.verdict {
@@ -264,16 +123,18 @@ impl WindowRollup {
         }
     }
 
-    fn absorb_bucket(&mut self, b: &EpochBucket) {
-        self.epochs += 1;
-        self.decisions += b.decisions;
-        self.accepted += b.accepted;
-        for (dst, src) in self.rejects.iter_mut().zip(b.rejects.iter()) {
+    /// Adds `other`'s epochs, counts, sketches and latencies (not its
+    /// wall-derived `qps`).
+    fn merge(&mut self, other: &WindowRollup) {
+        self.epochs += other.epochs;
+        self.decisions += other.decisions;
+        self.accepted += other.accepted;
+        for (dst, src) in self.rejects.iter_mut().zip(other.rejects.iter()) {
             *dst += src;
         }
-        self.margins.merge(&b.margins);
-        self.coherence.merge(&b.coherence);
-        self.lat.merge(&b.lat);
+        self.margins.merge(&other.margins);
+        self.coherence.merge(&other.coherence);
+        self.lat.merge(&other.lat);
     }
 
     fn hash_into(&self, h: &mut Fnv) {
@@ -292,6 +153,30 @@ impl WindowRollup {
         // Latency: the observation *count* is deterministic; the bucket
         // placement and sum are wall-clock and excluded.
         h.write(self.lat.count);
+    }
+}
+
+/// One epoch's worth of decisions for one tenant (or the global
+/// aggregate): a one-epoch rollup, plus the epoch's number and open time.
+#[derive(Debug, Clone)]
+struct EpochBucket {
+    epoch: u64,
+    /// Wall-clock open time; feeds `qps` only (outside the
+    /// determinism contract).
+    opened: Instant,
+    tally: WindowRollup,
+}
+
+impl EpochBucket {
+    fn new(epoch: u64) -> Self {
+        Self {
+            epoch,
+            opened: Instant::now(),
+            tally: WindowRollup {
+                epochs: 1,
+                ..WindowRollup::default()
+            },
+        }
     }
 }
 
@@ -368,7 +253,7 @@ impl TenantWindow {
         ring.push_back(EpochBucket::new(0));
         Self {
             ring,
-            cum: WindowRollup::empty(),
+            cum: WindowRollup::default(),
             closed_epochs: 0,
             last_drift: None,
             opened: Instant::now(),
@@ -381,6 +266,20 @@ impl TenantWindow {
         self.ring.back_mut().expect("window ring is never empty")
     }
 
+    /// Counts one decision into the current epoch and the cumulative
+    /// rollup.
+    fn absorb(&mut self, audit: &AuthAudit) {
+        self.current_mut().tally.absorb_audit(audit);
+        self.cum.absorb_audit(audit);
+    }
+
+    /// Records one latency into the current epoch and the cumulative
+    /// rollup.
+    fn observe_latency(&mut self, ns: u64) {
+        self.current_mut().tally.lat.observe_ns(ns);
+        self.cum.lat.observe_ns(ns);
+    }
+
     /// Closes the current epoch if it is full. Returns the new drift
     /// score when one was computed and it crossed the threshold upward.
     fn maybe_close_epoch(
@@ -389,7 +288,7 @@ impl TenantWindow {
         reference: Option<&Sketch>,
         threshold: f64,
     ) -> Option<f64> {
-        if self.current_mut().decisions < epoch_len {
+        if self.current_mut().tally.decisions < epoch_len {
             return None;
         }
         let closed_epoch = self.current_mut().epoch;
@@ -397,7 +296,7 @@ impl TenantWindow {
         if let Some(reference) = reference {
             let mut live = Sketch::new();
             for b in self.ring.iter().rev().take(DRIFT_EPOCHS) {
-                live.merge(&b.margins);
+                live.merge(&b.tally.margins);
             }
             if let Some(score) = psi(reference, &live) {
                 let was_below = self.last_drift.is_none_or(|p| p <= threshold);
@@ -416,10 +315,10 @@ impl TenantWindow {
     }
 
     fn rollup(&self, span: usize, now: Instant) -> WindowRollup {
-        let mut out = WindowRollup::empty();
+        let mut out = WindowRollup::default();
         let mut oldest: Option<Instant> = None;
         for b in self.ring.iter().rev().take(span) {
-            out.absorb_bucket(b);
+            out.merge(&b.tally);
             oldest = Some(b.opened);
         }
         if let Some(start) = oldest {
@@ -439,11 +338,7 @@ impl TenantWindow {
         if secs > 1e-9 {
             cum.qps = cum.decisions as f64 / secs;
         }
-        let windows = [
-            self.rollup(ROLLUP_SPANS[0], now),
-            self.rollup(ROLLUP_SPANS[1], now),
-            self.rollup(ROLLUP_SPANS[2], now),
-        ];
+        let windows = ROLLUP_SPANS.map(|span| self.rollup(span, now));
         WindowSnapshot {
             tenant,
             epoch: self.ring.back().map_or(0, |b| b.epoch),
@@ -494,24 +389,21 @@ pub fn observe_decision(tenant: u64, audit: &AuthAudit) {
     if !collecting() {
         return;
     }
-    let mut st = lock();
+    let mut guard = lock();
+    // Reborrow through the guard once, so the windows, the reference
+    // sketches and the alarm list borrow as the disjoint fields they are.
+    let st = &mut *guard;
     let epoch_len = st.epoch_len.max(1);
     let threshold = st.drift_threshold;
 
     // Global window first (no drift reference — drift is per tenant).
-    st.global.current_mut().absorb(audit);
-    st.global.cum.absorb_audit(audit);
+    st.global.absorb(audit);
     st.global.maybe_close_epoch(epoch_len, None, threshold);
 
     let window = st.tenants.entry(tenant).or_insert_with(TenantWindow::new);
-    window.current_mut().absorb(audit);
-    window.cum.absorb_audit(audit);
-
-    // The reference is cloned out first: the borrow checker cannot see
-    // that the reference map and the window map are disjoint fields.
-    let reference = st.references.get(&tenant).cloned();
-    let window = st.tenants.get_mut(&tenant).expect("window just inserted");
-    if let Some(score) = window.maybe_close_epoch(epoch_len, reference.as_ref(), threshold) {
+    window.absorb(audit);
+    let reference = st.references.get(&tenant);
+    if let Some(score) = window.maybe_close_epoch(epoch_len, reference, threshold) {
         let epoch = window.ring.back().map_or(0, |b| b.epoch.saturating_sub(1));
         st.alarms.push(DriftAlarm {
             tenant,
@@ -531,11 +423,11 @@ pub fn observe_latency(tenant: u64, ns: u64) {
         return;
     }
     let mut st = lock();
-    st.global.current_mut().lat.observe_ns(ns);
-    st.global.cum.lat.observe_ns(ns);
-    let window = st.tenants.entry(tenant).or_insert_with(TenantWindow::new);
-    window.current_mut().lat.observe_ns(ns);
-    window.cum.lat.observe_ns(ns);
+    st.global.observe_latency(ns);
+    st.tenants
+        .entry(tenant)
+        .or_insert_with(TenantWindow::new)
+        .observe_latency(ns);
 }
 
 /// Builds a reference sketch from a slice of enrolment-corpus gate
@@ -694,6 +586,9 @@ mod tests {
         assert_eq!(snap.windows[0].decisions, 2);
         // 64-epoch rollup sees everything.
         assert_eq!(snap.windows[2].decisions, 10);
+        // Each rollup spans the epochs it merged, the partial one included.
+        assert_eq!(snap.windows.each_ref().map(|w| w.epochs), [1, 3, 3]);
+        assert_eq!(snap.cum.epochs, 3);
         let global = snapshot_global();
         assert_eq!(global.cum.decisions, 10);
         assert_eq!(global.tenant, None);

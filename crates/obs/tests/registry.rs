@@ -1,13 +1,13 @@
-//! Integration tests for the echo-obs registry, metrics, spans, and the
-//! JSON exporter.
+//! Integration tests for the echo-obs registry, metrics, stage timers,
+//! and the JSON exporter.
 //!
 //! The registry, the enabled flag, and `reset()` are process-global, so
 //! every test takes `guard()` first — the suite runs effectively
 //! serially regardless of the harness thread count.
 
 use echo_obs::{
-    counter, gauge, histogram, is_enabled, registry, reset, set_enabled, snapshot, span,
-    BUCKET_BOUNDS_NS,
+    counter, gauge, histogram, is_enabled, registry, reset, set_enabled, snapshot, stage,
+    HistogramSnapshot, TraceCtx,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -82,61 +82,54 @@ fn gauge_set_and_add() {
 fn histogram_buckets_observations_correctly() {
     let _g = guard();
     let h = histogram!("test.hist.buckets");
+    let bounds: Vec<u64> = HistogramSnapshot::default()
+        .iter_buckets()
+        .map_while(|(bound, _)| bound)
+        .collect();
+    let top = *bounds.last().unwrap();
     // One observation per bound, exactly at the bound (inclusive), plus
     // one just above the last bound (overflow) and one at zero.
-    for &bound in &BUCKET_BOUNDS_NS {
+    for &bound in &bounds {
         h.observe_ns(bound);
     }
-    h.observe_ns(BUCKET_BOUNDS_NS[BUCKET_BOUNDS_NS.len() - 1] + 1);
+    h.observe_ns(top + 1);
     h.observe_ns(0);
-    let buckets = h.bucket_counts();
-    assert_eq!(buckets[0], 2, "0 and the first bound share bucket 0");
-    for (i, &count) in buckets
-        .iter()
-        .enumerate()
-        .take(BUCKET_BOUNDS_NS.len())
-        .skip(1)
-    {
+    let snap = h.snapshot();
+    let buckets: Vec<(Option<u64>, u64)> = snap.iter_buckets().collect();
+    assert_eq!(buckets.len(), bounds.len() + 1);
+    assert_eq!(buckets[0].1, 2, "0 and the first bound share bucket 0");
+    for (i, &(bound, count)) in buckets.iter().enumerate().skip(1) {
+        assert_eq!(bound, bounds.get(i).copied(), "bucket {i} bound");
         assert_eq!(count, 1, "bucket {i}");
     }
-    assert_eq!(buckets[BUCKET_BOUNDS_NS.len()], 1, "overflow bucket");
-    assert_eq!(h.count(), BUCKET_BOUNDS_NS.len() as u64 + 2);
-    let expected_sum: u64 =
-        BUCKET_BOUNDS_NS.iter().sum::<u64>() + BUCKET_BOUNDS_NS[BUCKET_BOUNDS_NS.len() - 1] + 1;
-    assert_eq!(h.sum_ns(), expected_sum);
-    assert_eq!(h.min_ns(), Some(0));
-    assert_eq!(
-        h.max_ns(),
-        Some(BUCKET_BOUNDS_NS[BUCKET_BOUNDS_NS.len() - 1] + 1)
-    );
+    assert_eq!(buckets[bounds.len()], (None, 1), "overflow bucket");
+    assert_eq!(snap.count, bounds.len() as u64 + 2);
+    assert_eq!(snap.sum_ns, bounds.iter().sum::<u64>() + top + 1);
+    assert_eq!((snap.min_ns, snap.max_ns), (Some(0), Some(top + 1)));
 }
 
 #[test]
 fn histogram_empty_has_no_extremes() {
     let _g = guard();
-    let h = histogram!("test.hist.empty");
-    assert_eq!(h.count(), 0);
-    assert_eq!(h.min_ns(), None);
-    assert_eq!(h.max_ns(), None);
+    let _ = histogram!("test.hist.empty");
     let snap = snapshot();
-    let hs = snap.histogram("test.hist.empty").expect("registered");
-    assert_eq!(hs.mean_ns(), None);
+    let h = snap.histogram("test.hist.empty").expect("registered");
+    assert_eq!(
+        (h.count, h.min_ns, h.max_ns, h.mean_ns()),
+        (0, None, None, None)
+    );
 }
 
 #[test]
 fn span_records_into_histogram() {
     let _g = guard();
     {
-        let _span = span!("test.span.basic");
+        let _timer = stage!(TraceCtx::none(), "test.span.basic");
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    let h = histogram!("test.span.basic");
-    assert_eq!(h.count(), 1);
-    assert!(
-        h.sum_ns() >= 2_000_000,
-        "2ms sleep must record ≥ 2ms, got {}ns",
-        h.sum_ns()
-    );
+    let h = histogram!("test.span.basic").snapshot();
+    assert_eq!(h.count, 1);
+    assert!(h.sum_ns >= 2_000_000, "2ms sleep recorded {}ns", h.sum_ns);
 }
 
 #[test]
@@ -154,14 +147,13 @@ fn disabled_registry_is_a_no_op() {
     g.add(5);
     h.observe_ns(1_000);
     {
-        let span = span!("test.disabled.hist");
-        // A disabled span holds no start time — the clock was never read.
-        assert!(format!("{span:?}").contains("start: None"));
+        let timer = stage!(TraceCtx::none(), "test.disabled.hist");
+        // A disabled timer holds no start time — the clock was never read.
+        assert!(format!("{timer:?}").contains("start_ns: None"));
     }
     assert_eq!(c.get(), 0);
     assert_eq!(g.get(), 0);
-    assert_eq!(h.count(), 0);
-    assert_eq!(h.sum_ns(), 0);
+    assert_eq!((h.snapshot().count, h.snapshot().sum_ns), (0, 0));
     let snap = snapshot();
     assert!(!snap.enabled);
     set_enabled(true);

@@ -24,6 +24,7 @@
 use crate::protocol::{encode_response, Opcode, Request, Response, Status};
 use crate::server::{Job, Shared};
 use echo_ml::GrayImage;
+use echo_obs::TraceCtx;
 use echoimage_core::auth::AuthAttempt;
 use echoimage_core::store::{identify_traced, IdentifyConfig};
 use echoimage_core::AuthDecision;
@@ -68,7 +69,7 @@ pub(crate) fn run(shared: &Shared) {
 }
 
 fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
-    let t0 = Instant::now();
+    let _t = echo_obs::stage!(TraceCtx::none(), "serve.batch_flush");
     // Batch size is a unitless count; the ns-bucketed histogram still
     // gives exact count/sum, which is all the mean-batch-size gate
     // reads.
@@ -117,7 +118,6 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
     // One wake per flush, after its last response: the I/O thread then
     // writes each connection's share of the batch in one go.
     shared.wake();
-    echo_obs::histogram!("serve.batch_flush").observe_ns(t0.elapsed().as_nanos() as u64);
 }
 
 fn decide(shared: &Shared, job: &Job, feats: &[Vec<f64>]) -> Response {

@@ -354,9 +354,9 @@ mod tests {
     #[test]
     fn stats_report_deltas_ignore_prior_runs() {
         use crate::protocol::{RollupStats, TenantStats};
-        use echo_obs::LatHist;
+        use echo_obs::HistogramSnapshot;
 
-        fn rollup(lat: LatHist) -> RollupStats {
+        fn rollup(lat: HistogramSnapshot) -> RollupStats {
             RollupStats {
                 epochs: 1,
                 decisions: lat.count,
@@ -368,7 +368,7 @@ mod tests {
                 lat,
             }
         }
-        fn snap(lat: LatHist, batch_count: u64, batch_sum: u64) -> StatsReport {
+        fn snap(lat: HistogramSnapshot, batch_count: u64, batch_sum: u64) -> StatsReport {
             StatsReport {
                 epoch_len: 32,
                 queue_depth: 0,
@@ -388,7 +388,7 @@ mod tests {
         }
 
         // A "previous run" left 100 very slow observations behind.
-        let mut stale = LatHist::new();
+        let mut stale = HistogramSnapshot::default();
         for _ in 0..100 {
             stale.observe_ns(900_000_000);
         }

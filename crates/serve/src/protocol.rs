@@ -28,7 +28,8 @@
 //! backtrace (the bug class this PR sweeps off the I/O surface).
 
 use echo_ml::GrayImage;
-use echo_obs::window::{LatHist, REJECT_CLASSES, ROLLUP_SPANS};
+use echo_obs::window::{REJECT_CLASSES, ROLLUP_SPANS};
+use echo_obs::HistogramSnapshot;
 use std::fmt;
 
 /// Hard ceiling on a frame payload. Bounds per-connection buffering; a
@@ -161,7 +162,8 @@ pub struct Response {
 
 /// One rollup on the wire: verdict counts, QPS, gate-margin quantiles
 /// (computed server-side from the window sketch — sketches never cross
-/// the wire) and the latency histogram for client-side quantile math.
+/// the wire) and the whole latency histogram, extremes included, from
+/// which the reader computes latency quantiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RollupStats {
     /// Epochs the rollup spans (including the current partial one).
@@ -178,7 +180,7 @@ pub struct RollupStats {
     /// 99th-percentile gate margin over the span.
     pub margin_p99: Option<f64>,
     /// End-to-end latency histogram over the span.
-    pub lat: LatHist,
+    pub lat: HistogramSnapshot,
 }
 
 /// One tenant's windows on the wire (`tenant: None` = the global
@@ -374,12 +376,16 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn opt_f64(&mut self) -> Result<Option<f64>, ProtocolError> {
+    fn opt_u64(&mut self) -> Result<Option<u64>, ProtocolError> {
         Ok(if self.flag()? {
-            Some(self.f64()?)
+            Some(self.u64()?)
         } else {
             None
         })
+    }
+
+    fn opt_f64(&mut self) -> Result<Option<f64>, ProtocolError> {
+        Ok(self.opt_u64()?.map(f64::from_bits))
     }
 
     fn done(&self) -> Result<(), ProtocolError> {
@@ -469,14 +475,18 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
     })
 }
 
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
+fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(v) => {
             out.push(1);
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+            out.extend_from_slice(&v.to_le_bytes());
         }
         None => out.push(0),
     }
+}
+
+fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
+    put_opt_u64(out, v.map(f64::to_bits));
 }
 
 fn put_rollup(out: &mut Vec<u8>, r: &RollupStats) {
@@ -491,6 +501,8 @@ fn put_rollup(out: &mut Vec<u8>, r: &RollupStats) {
     put_opt_f64(out, r.margin_p99);
     out.extend_from_slice(&r.lat.count.to_le_bytes());
     out.extend_from_slice(&r.lat.sum_ns.to_le_bytes());
+    put_opt_u64(out, r.lat.min_ns);
+    put_opt_u64(out, r.lat.max_ns);
     for &b in &r.lat.buckets {
         out.extend_from_slice(&b.to_le_bytes());
     }
@@ -557,9 +569,13 @@ fn take_rollup(c: &mut Cursor<'_>) -> Result<RollupStats, ProtocolError> {
     let qps = c.f64()?;
     let margin_p50 = c.opt_f64()?;
     let margin_p99 = c.opt_f64()?;
-    let mut lat = LatHist::new();
-    lat.count = c.u64()?;
-    lat.sum_ns = c.u64()?;
+    let mut lat = HistogramSnapshot {
+        count: c.u64()?,
+        sum_ns: c.u64()?,
+        min_ns: c.opt_u64()?,
+        max_ns: c.opt_u64()?,
+        ..HistogramSnapshot::default()
+    };
     for b in lat.buckets.iter_mut() {
         *b = c.u64()?;
     }
@@ -758,7 +774,7 @@ mod tests {
     }
 
     fn sample_rollup(seed: u64) -> RollupStats {
-        let mut lat = LatHist::new();
+        let mut lat = HistogramSnapshot::default();
         lat.observe_ns(1_500 + seed);
         lat.observe_ns(2_000_000);
         RollupStats {

@@ -5,7 +5,8 @@
 //! reads the window mutex and a handful of atomics, so a stats poll
 //! costs microseconds and never touches the batcher queue. Gate-margin
 //! quantiles are computed here, server-side, from the window sketches —
-//! sketches never cross the wire.
+//! sketches never cross the wire. Latency histograms do cross it, with
+//! their extremes, and the reader computes latency quantiles from them.
 
 use crate::protocol::{RollupStats, StatsReport, TenantStats};
 use echo_obs::json::json_f64;
@@ -45,15 +46,15 @@ pub fn collect(filter: Option<u64>) -> StatsReport {
         .map(tenant_stats)
         .collect();
     let queue_depth = echo_obs::registry().gauge("serve.queue_depth").get();
-    let batch = echo_obs::registry().histogram("serve.batch_size");
-    let fill = echo_obs::registry().histogram("serve.batch_fill_pct");
+    let batch = echo_obs::histogram!("serve.batch_size").snapshot();
+    let fill = echo_obs::histogram!("serve.batch_fill_pct").snapshot();
     StatsReport {
         epoch_len: window::epoch_len(),
         queue_depth,
-        batch_count: batch.count(),
-        batch_sum: batch.sum_ns(),
-        fill_count: fill.count(),
-        fill_sum: fill.sum_ns(),
+        batch_count: batch.count,
+        batch_sum: batch.sum_ns,
+        fill_count: fill.count,
+        fill_sum: fill.sum_ns,
         global: tenant_stats(&global),
         tenants,
     }
@@ -129,10 +130,10 @@ pub fn report_to_json(s: &StatsReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use echo_obs::window::LatHist;
+    use echo_obs::HistogramSnapshot;
 
     fn roll(decisions: u64) -> RollupStats {
-        let mut lat = LatHist::new();
+        let mut lat = HistogramSnapshot::default();
         for _ in 0..decisions {
             lat.observe_ns(2_000_000);
         }

@@ -16,6 +16,7 @@ use echo_array::{MicArray, Vec3};
 use echo_dsp::chirp::LfmChirp;
 use echo_dsp::interp::add_delayed;
 use echo_dsp::SPEED_OF_SOUND;
+use echo_obs::TraceCtx;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -191,7 +192,7 @@ impl Scene {
         session: u32,
         beep: u64,
     ) -> BeepCapture {
-        let _span = echo_obs::span!("stage.capture");
+        let _t = echo_obs::stage!(TraceCtx::none(), "stage.capture");
         echo_obs::counter!("sim.beeps_captured").inc();
         let cfg = &self.config;
         let fs = cfg.sample_rate();

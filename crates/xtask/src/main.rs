@@ -62,8 +62,8 @@ tasks:
                   deliberate change moves the baseline
   obs-smoke       boot the echo-serve daemon, drive it with the load
                   test over TCP, and assert `echo-top --once --json
-                  --assert-live` sees non-empty tenant windows and
-                  finite drift
+                  --assert-live` sees non-empty tenant windows, finite
+                  drift, and p50 <= p99 in every rollup with latencies
   trace-report    analyse a --trace-out JSONL flight-recorder trace:
                   per-stage critical-path statistics, slowest traces,
                   failed authentication attempts
@@ -358,9 +358,10 @@ fn simd_parity() -> usize {
 /// Boots the real daemon binary on an ephemeral TCP port, drives it
 /// with the wire load test, then asserts `echo-top --once --json
 /// --assert-live` against it: at least one tenant window with
-/// decisions, every drift score finite, valid JSON on stdout. This is
-/// the end-to-end proof that the Stats opcode, the window substrate,
-/// and the dashboard agree over a real socket.
+/// decisions, every drift score finite, valid JSON on stdout, and
+/// non-null `lat_p50_ns <= lat_p99_ns` in every rollup that counted
+/// latencies. This is the end-to-end proof that the Stats opcode, the
+/// window substrate, and the dashboard agree over a real socket.
 fn obs_smoke() {
     run(
         "build serve bins (release)",
@@ -443,10 +444,59 @@ fn obs_smoke() {
         _ => kill_and_fail(&mut daemon, "echo-top JSON carries no tenant windows"),
     };
     println!("  obs-smoke: echo-top sees {tenants} live tenant window(s)");
+    match check_rollup_latencies(&doc) {
+        Ok(checked) => println!(
+            "  obs-smoke: {checked} rollup(s) with latencies report p50 <= p99 over the wire"
+        ),
+        Err(msg) => kill_and_fail(&mut daemon, &msg),
+    }
 
     let _ = daemon.kill();
     let _ = daemon.wait();
     println!("obs-smoke passed");
+}
+
+/// Checks every rollup of an `echo-top --json` report — the global
+/// and each tenant's `cum` and windows — that counted latencies: its
+/// p50 and p99, computed from the histogram the `Stats` opcode carried,
+/// must be present and ordered. Returns how many rollups were checked.
+fn check_rollup_latencies(doc: &Json) -> Result<usize, String> {
+    fn items(v: Option<&Json>) -> Vec<&Json> {
+        match v {
+            Some(Json::Arr(items)) => items.iter().collect(),
+            _ => Vec::new(),
+        }
+    }
+    let scopes = doc
+        .get("global")
+        .into_iter()
+        .chain(items(doc.get("tenants")));
+    let mut checked = 0;
+    for scope in scopes {
+        for rollup in scope
+            .get("cum")
+            .into_iter()
+            .chain(items(scope.get("windows")))
+        {
+            let field = |key: &str| rollup.get(key).and_then(Json::as_f64);
+            if field("lat_count").unwrap_or(0.0) == 0.0 {
+                continue;
+            }
+            match (field("lat_p50_ns"), field("lat_p99_ns")) {
+                (Some(p50), Some(p99)) if p50 <= p99 => checked += 1,
+                (p50, p99) => {
+                    let tenant = scope.get("tenant").and_then(Json::as_f64);
+                    return Err(format!(
+                        "tenant {tenant:?}: a rollup with latencies reports p50 {p50:?}, p99 {p99:?}"
+                    ));
+                }
+            }
+        }
+    }
+    match checked {
+        0 => Err("no rollup counted a latency after the load test".into()),
+        n => Ok(n),
+    }
 }
 
 // ── bench-regression gate ────────────────────────────────────────────

@@ -7,12 +7,15 @@
 //! the bench-regression gate: it collects a fresh `feature_bench`
 //! sample and fails if any gated kernel latency regressed more than the
 //! threshold against the committed `BENCH_features.json` baseline.
+//! `cargo xtask repro-gate` holds the reproduction's quick-mode
+//! headlines to the committed `REPRO_quick.json`.
 //! Wired up through the `xtask` alias in `.cargo/config.toml`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{exit, Command};
 
+mod repro_gate;
 mod trace_report;
 use echo_obs::json::Json;
 
@@ -26,6 +29,7 @@ fn main() {
         Some("bench-check") => bench_check(&args[1..]),
         Some("bench-baseline") => bench_baseline(),
         Some("obs-smoke") => obs_smoke(),
+        Some("repro-gate") => repro_gate::repro_gate(&args[1..]),
         Some("trace-report") => trace_report::trace_report(&args[1..]),
         Some(other) => {
             eprintln!("unknown task `{other}`");
@@ -40,12 +44,13 @@ fn main() {
 }
 
 const USAGE: &str =
-    "usage: cargo xtask <ci | determinism | bench-check | bench-baseline | obs-smoke | trace-report>
+    "usage: cargo xtask <ci | determinism | bench-check | bench-baseline | obs-smoke | repro-gate | trace-report>
 
 tasks:
   ci              run the full CI gate (fmt, clippy, build, tests, the
                   determinism matrix, property suites, bench build +
-                  bench-regression check, trace-report selftest)
+                  bench-regression check, trace-report selftest, repro
+                  gate)
   determinism     run every determinism suite once, under the caller's
                   ECHOIMAGE_THREADS and ECHOIMAGE_SIMD (one cell of the
                   CI determinism matrix)
@@ -64,6 +69,13 @@ tasks:
                   test over TCP, and assert `echo-top --once --json
                   --assert-live` sees non-empty tenant windows, finite
                   drift, and p50 <= p99 in every rollup with latencies
+  repro-gate      run the quick experiment binaries and fail when a
+                  headline (Figs. 5, 8, 11-14, gate ROC, attack suite)
+                  moved past its tolerance from REPRO_quick.json
+                    --rebaseline <reason>
+                                        rewrite REPRO_quick.json from
+                                        this run and append the reason
+                                        to CHANGES.md
   trace-report    analyse a --trace-out JSONL flight-recorder trace:
                   per-stage critical-path statistics, slowest traces,
                   failed authentication attempts
@@ -263,6 +275,8 @@ fn ci() {
     }
     println!("==> obs smoke (daemon + stats + echo-top)");
     obs_smoke();
+    println!("==> repro gate (quick headlines vs REPRO_quick.json)");
+    repro_gate::repro_gate(&[]);
     println!("==> trace-report selftest");
     trace_report::trace_report(&["--selftest".into()]);
     println!("==> bench-regression check");
@@ -270,7 +284,7 @@ fn ci() {
     bench_check(&[]);
     println!(
         "\nCI gate passed ({} steps)",
-        steps.len() + matrix_steps + tail.len() + 4
+        steps.len() + matrix_steps + tail.len() + 5
     );
     print_step_durations();
 }
@@ -739,7 +753,7 @@ fn print_step_durations() {
     }
 }
 
-fn run(name: &str, args: &[&str], envs: &[(&str, &str)]) {
+pub(crate) fn run(name: &str, args: &[&str], envs: &[(&str, &str)]) {
     let env_prefix: String = envs.iter().map(|(k, v)| format!("{k}={v} ")).collect();
     println!("==> {name}: {env_prefix}cargo {}", args.join(" "));
     // CARGO points back at the cargo that invoked the alias, so the

@@ -194,7 +194,7 @@ pub(crate) fn estimate_from_analytic(
         *v /= l;
     }
 
-    let estimate = locate_peaks(&accumulated, fs, first.preroll(), dcfg, config);
+    let estimate = locate_peaks(accumulated, fs, first.preroll(), dcfg);
     if let Ok(est) = &estimate {
         tspan.attr_f64("horizontal_m", est.horizontal_distance);
     }
@@ -257,20 +257,19 @@ pub fn noise_covariance(captures: &[BeepCapture]) -> SpatialCovariance {
 pub const ROBUST_LOADING: f64 = 0.05;
 
 /// Peak logic shared with diagnostics: finds τ₁ and τ_w′ in an envelope
-/// and converts to distances.
+/// and converts to distances. The envelope moves into the estimate.
 fn locate_peaks(
-    envelope: &[f64],
+    envelope: Vec<f64>,
     fs: f64,
     preroll: usize,
     dcfg: &DistanceConfig,
-    config: &PipelineConfig,
 ) -> Result<DistanceEstimate, EchoImageError> {
-    let max = echo_dsp::simd::max_f64(envelope).max(0.0);
+    let max = echo_dsp::simd::max_f64(&envelope).max(0.0);
     if max <= 0.0 {
         return Err(EchoImageError::DirectPathNotFound);
     }
     let peaks = find_peaks(
-        envelope,
+        &envelope,
         dcfg.peak_distance,
         dcfg.peak_threshold_ratio * max,
     );
@@ -297,7 +296,7 @@ fn locate_peaks(
     // leading edge of the strongest smoothed lobe: lobe maxima wander
     // with coherent speckle, leading edges do not.
     let smooth_w = ((dcfg.envelope_smoothing * fs).round() as usize).max(1);
-    let smoothed = moving_average(envelope, smooth_w);
+    let smoothed = moving_average(&envelope, smooth_w);
     let window = &smoothed[echo_start..echo_end];
     // The window opens on the decaying skirt of the direct chirp. Walk
     // down that initial decay first; the echo lobe must rise after it
@@ -342,9 +341,6 @@ fn locate_peaks(
         index: echo_idx,
         value: envelope[echo_idx],
     };
-    // Keep the strongest raw peak available for diagnostics (Fig. 5).
-    let _ = strongest_peak_in(&peaks, echo_start, echo_end);
-
     // Delay relative to the direct peak, plus the known speaker→mic path,
     // is the round-trip time to the dominant body patch.
     let round_trip =
@@ -362,8 +358,6 @@ fn locate_peaks(
         dcfg.elevation.sin()
     };
     let horizontal = corrected * sin_phi * dcfg.azimuth.sin();
-    let _ = config;
-    let _ = slant;
 
     Ok(DistanceEstimate {
         // Report the onset-corrected slant (the physical distance to the
@@ -372,7 +366,7 @@ fn locate_peaks(
         horizontal_distance: horizontal,
         direct_peak: direct.index,
         echo_peak: echo.index,
-        envelope: envelope.to_vec(),
+        envelope,
         peaks,
     })
 }

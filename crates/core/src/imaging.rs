@@ -20,17 +20,21 @@
 //!   sweep geometry and the train's noise covariance, so they are
 //!   designed once per (train, plane) into one flat table, cells in
 //!   steering-field order.
-//! * **Pixels.** Each pixel is one [`echo_dsp::simd::gated_beam_energy`]
-//!   call over the cell's gate. It forms only the real beamformed
-//!   sample, bit-identical to the real part of the complex
-//!   multiply–accumulate `Σ_m conj(w_m)·x_m[t]`.
+//! * **Pixels.** A pixel is the energy of the real beamformed signal
+//!   `Re Σ_m conj(w_m)·x_m[t]` over the cell's gate, and that energy is a
+//!   quadratic form of the gate's real sample Gram matrix. One
+//!   [`echo_dsp::gram::GateGram`] per (beep, plane) keeps the running
+//!   Gram sums over the union of the plane's gates, and each pixel is
+//!   `√max(0, vᵀ(S[end] − S[start])v)`: O(M²) per cell instead of one
+//!   beamformed sample per gate sample. It differs from the per-sample
+//!   sum only by rounding, within the bound the kernel's docs state.
 
 use crate::config::{BeamformerKind, PipelineConfig};
 use crate::error::EchoImageError;
-use crate::par::parallel_map_indexed;
 use crate::steering_cache::{steering_field, SteeringField};
 use echo_array::MicArray;
 use echo_beamform::{das_weights, MvdrDesigner, SpatialCovariance};
+use echo_dsp::gram::GateGram;
 use echo_dsp::{Complex, SPEED_OF_SOUND};
 use echo_ml::GrayImage;
 use echo_obs::TraceCtx;
@@ -110,7 +114,6 @@ pub fn construct_image_with_covariance(
         &analytic,
         &plane,
         config,
-        config.threads,
         TraceCtx::none(),
         0,
     ))
@@ -198,15 +201,16 @@ impl PlaneWeights {
 
 /// Images one beep on one plane from its analytic signals (one per
 /// channel, as [`crate::distance::estimate_distance`] computes them),
-/// recording a `stage.imaging` span as child `lidx` of `ctx`. Rows are
-/// swept on `threads` workers and reassembled by index, so every thread
-/// count yields the same image.
+/// recording a `stage.imaging` span as child `lidx` of `ctx`. The running
+/// Gram sums over the union of the plane's gates are built once, then
+/// each cell reads its pixel from them. The sweep is serial: at O(M²)
+/// per cell it is cheaper than spawning workers, and the pipeline
+/// already runs its (beep, plane) jobs in parallel.
 pub(crate) fn image_beep(
     capture: &BeepCapture,
     analytic: &[Vec<Complex>],
     plane: &PlaneWeights,
     config: &PipelineConfig,
-    threads: usize,
     ctx: TraceCtx,
     lidx: u64,
 ) -> GrayImage {
@@ -223,27 +227,35 @@ pub(crate) fn image_beep(
     let guard = (icfg.safeguard * fs).round() as usize;
     let chirp_len = config.beep.chirp_samples();
     let preroll = capture.preroll();
-    let rows: Vec<usize> = (0..grid_n).collect();
-    let row_pixels = parallel_map_indexed(&rows, threads, |_, &row| {
-        let k0 = row * grid_n;
-        let cells = &plane.field.cells()[k0..k0 + grid_n];
-        let weights = plane.table[k0 * plane.channels..].chunks_exact(plane.channels);
-        cells
-            .iter()
-            .zip(weights)
-            .map(|(cell, w)| {
-                // Time gate: echoes from this cell arrive after the round
-                // trip 2·D_k/c (paper approximation: speaker ≈ array
-                // origin). An empty gate images to 0.
-                let center = preroll as f64 + 2.0 * cell.distance / SPEED_OF_SOUND * fs;
-                let start = (center as isize - guard as isize).max(0) as usize;
-                let end = ((center as usize).saturating_add(guard + chirp_len)).min(n);
-                // Pixel uses the real beamformed signal, as in the paper.
-                echo_dsp::simd::gated_beam_energy(analytic, w, start, end).sqrt()
-            })
-            .collect::<Vec<f64>>()
-    });
-    GrayImage::from_data(grid_n, grid_n, row_pixels.concat())
+    // Time gate: echoes from a cell arrive after the round trip 2·D_k/c
+    // (paper approximation: speaker ≈ array origin). An empty gate
+    // images to 0.
+    let gates: Vec<(usize, usize)> = plane
+        .field
+        .cells()
+        .iter()
+        .map(|cell| {
+            let center = preroll as f64 + 2.0 * cell.distance / SPEED_OF_SOUND * fs;
+            let start = (center as isize - guard as isize).max(0) as usize;
+            let end = ((center as usize).saturating_add(guard + chirp_len)).min(n);
+            (start, end)
+        })
+        .collect();
+    let (lo, hi) = gates
+        .iter()
+        .filter(|(start, end)| start < end)
+        .fold((n, 0), |(lo, hi), &(start, end)| {
+            (lo.min(start), hi.max(end))
+        });
+    let gram = GateGram::new(analytic, lo, hi);
+    let weights = plane.table.chunks_exact(plane.channels);
+    // Pixel uses the real beamformed signal, as in the paper.
+    let pixels = gates
+        .iter()
+        .zip(weights)
+        .map(|(&(start, end), w)| gram.beam_energy(w, start, end).sqrt())
+        .collect();
+    GrayImage::from_data(grid_n, grid_n, pixels)
 }
 
 /// The cell-to-origin distance `D_k = √(x_k² + D_p² + z_k²)` used both by

@@ -276,9 +276,8 @@ impl EchoImagePipeline {
             .collect::<Result<Vec<_>, _>>()?;
         // Flatten the capture × plane grid into one job list so the
         // pool sees every unit of work at once; output order matches
-        // the serial nested loop (capture-major). Each job sweeps its
-        // rows serially — one layer of parallelism, not threads²
-        // workers.
+        // the serial nested loop (capture-major). Each job images its
+        // plane serially.
         let jobs: Vec<(usize, usize)> = (0..filtered.len())
             .flat_map(|ci| (0..planes.len()).map(move |pi| (ci, pi)))
             .collect();
@@ -288,7 +287,6 @@ impl EchoImagePipeline {
                 &analytic[ci],
                 &weights[pi],
                 &self.config,
-                1,
                 ctx,
                 i as u64,
             )

@@ -81,17 +81,10 @@ pub struct Header {
     pub file_len: u64,
 }
 
-/// FNV-1a 64-bit over `bytes` — cheap, dependency-free, and plenty to
-/// catch torn writes and bit rot (this is an integrity check, not an
-/// authenticity one).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The checksum: FNV-1a 64-bit — cheap, and plenty to catch torn
+/// writes and bit rot (this is an integrity check, not an authenticity
+/// one).
+pub use echo_obs::fnv1a64;
 
 /// Parses and validates the fixed header and trailer of a shard image:
 /// magic, version, promised length vs actual, and the body checksum.
@@ -401,14 +394,6 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_known_vectors() {
-        // Reference values for the canonical FNV-1a 64 parameters.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn writer_aligns_and_patches() {

@@ -118,16 +118,6 @@ fn forcing_scalar_is_always_honoured() {
     assert_eq!(simd::max_f64_with(simd::SimdPath::Scalar, &xs), 7.5);
 }
 
-/// FNV-1a over the canonical run transcript.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Everything the cross-mode bit-identity contract covers, rendered
 /// deterministically. Wall-clock span timings are excluded by
 /// construction (only logical span identity is folded in).
@@ -182,7 +172,7 @@ fn canonical_transcript() -> String {
 fn parity_digest_is_recorded() {
     let _g = guard();
     let transcript = canonical_transcript();
-    let digest = fnv1a(transcript.as_bytes());
+    let digest = echo_obs::fnv1a64(transcript.as_bytes());
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/simd-parity");
     std::fs::create_dir_all(&dir).expect("create parity dir");
@@ -198,6 +188,6 @@ fn parity_digest_is_recorded() {
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
     echo_obs::reset_traces();
-    let again = fnv1a(canonical_transcript().as_bytes());
+    let again = echo_obs::fnv1a64(canonical_transcript().as_bytes());
     assert_eq!(digest, again, "canonical transcript must be reproducible");
 }

@@ -8,6 +8,8 @@
 //! * [`filter`] — Butterworth low/high/band-pass biquad cascades,
 //! * [`hilbert`] — analytic signal and envelope detection,
 //! * [`correlate`] — FFT matched filtering (paper Eq. 9),
+//! * [`gram`] — gated real-beam energies from running Gram sums, the
+//!   acoustic-image pixel kernel (paper §V-C),
 //! * [`plan`] — precomputed, LRU-cached FFT plans shared by the hot paths,
 //! * [`slot_cache`] — the process-wide MRU cache behind every plan, steering
 //!   and template cache (classify under the lock, compute outside it),
@@ -44,6 +46,7 @@ pub mod complex;
 pub mod correlate;
 pub mod fft;
 pub mod filter;
+pub mod gram;
 pub mod hilbert;
 pub mod interp;
 pub mod peaks;

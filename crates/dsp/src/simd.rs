@@ -493,62 +493,6 @@ pub fn sqdist_f32_with(path: SimdPath, a: &[f32], b: &[f32]) -> f32 {
     dispatch!(path, scalar::sqdist_f32(a, b), avx2::sqdist_f32(a, b))
 }
 
-/// Energy of a real beam over a time gate — one acoustic-image pixel
-/// before its square root:
-/// `Σ_{t ∈ [start, end)} y[t]²` with
-/// `y[t] = Σ_m (w[m].re·x_m[t].re + w[m].im·x_m[t].im)`, the real part
-/// of the beamformed sample `Σ_m conj(w[m])·x_m[t]`.
-///
-/// Only the real part is formed: the imaginary half of the complex
-/// multiply–accumulate would be discarded. Both sums run in index order
-/// from `0.0` (channels inner, samples outer), which is the order of
-/// that complex loop, so the result is bit-identical to squaring and
-/// summing its real part. The AVX2 path computes four samples per
-/// vector and adds their squares to the energy one at a time, in order.
-///
-/// The channel count is the shorter of `channels` and `weights`, and
-/// `end` is clamped to the shortest channel used; an empty gate gives
-/// `0.0`.
-#[inline]
-pub fn gated_beam_energy(
-    channels: &[Vec<Complex>],
-    weights: &[Complex],
-    start: usize,
-    end: usize,
-) -> f64 {
-    gated_beam_energy_with(active(), channels, weights, start, end)
-}
-
-/// [`gated_beam_energy`] on an explicit path.
-#[inline]
-pub fn gated_beam_energy_with(
-    path: SimdPath,
-    channels: &[Vec<Complex>],
-    weights: &[Complex],
-    start: usize,
-    end: usize,
-) -> f64 {
-    dispatch!(
-        path,
-        scalar::gated_beam_energy(channels, weights, start, end),
-        avx2::gated_beam_energy(channels, weights, start, end)
-    )
-}
-
-/// The operands [`gated_beam_energy`] actually reads: the channels with
-/// a weight, and the gate end clamped to the shortest of them.
-#[inline]
-fn beam_operands<'a>(
-    channels: &'a [Vec<Complex>],
-    weights: &'a [Complex],
-    end: usize,
-) -> (&'a [Vec<Complex>], &'a [Complex], usize) {
-    let m = channels.len().min(weights.len());
-    let channels = &channels[..m];
-    let end = channels.iter().fold(end, |e, ch| e.min(ch.len()));
-    (channels, &weights[..m], end)
-}
-
 // ─────────────────────────── scalar kernels ───────────────────────────
 
 mod scalar {
@@ -728,39 +672,6 @@ mod scalar {
             acc += d * d;
         }
         acc
-    }
-
-    #[inline]
-    pub fn gated_beam_energy(
-        channels: &[Vec<Complex>],
-        weights: &[Complex],
-        start: usize,
-        end: usize,
-    ) -> f64 {
-        let (channels, weights, end) = super::beam_operands(channels, weights, end);
-        add_beam_energy(0.0, channels, weights, start, end)
-    }
-
-    /// Continues a [`gated_beam_energy`] sum over `[start, end)`, which
-    /// the caller has already clamped; the AVX2 kernel finishes its
-    /// ragged tail here.
-    #[inline]
-    pub fn add_beam_energy(
-        mut energy: f64,
-        channels: &[Vec<Complex>],
-        weights: &[Complex],
-        start: usize,
-        end: usize,
-    ) -> f64 {
-        for t in start..end {
-            let mut y = 0.0;
-            for (ch, w) in channels.iter().zip(weights) {
-                let x = ch[t];
-                y += w.re * x.re + w.im * x.im;
-            }
-            energy += y * y;
-        }
-        energy
     }
 }
 
@@ -1381,59 +1292,6 @@ mod avx2 {
         let best = _mm_cvtsd_f64(_mm_max_sd(pair, swapped));
         best.max(scalar::max_f64(&xs[head..n]))
     }
-
-    /// Four samples per step: for each channel, two loads cover
-    /// `x[t..t+4]`, a multiply by the broadcast `[w.re, w.im, w.re,
-    /// w.im]` and a horizontal add give `w.re·x.re + w.im·x.im` per
-    /// sample (in lane order `t, t+2, t+1, t+3`), and the channel sum
-    /// accumulates from zero in channel order. The four squares then
-    /// join the energy one at a time in sample order, as in the scalar
-    /// loop.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gated_beam_energy(
-        channels: &[Vec<Complex>],
-        weights: &[Complex],
-        start: usize,
-        end: usize,
-    ) -> f64 {
-        let (channels, weights, end) = super::beam_operands(channels, weights, end);
-        if start >= end {
-            return 0.0;
-        }
-        let head = end - (end - start) % FPL;
-        let mut energy = _mm_setzero_pd();
-        let mut t = start;
-        while t < head {
-            let mut y = _mm256_setzero_pd();
-            for (ch, w) in channels.iter().zip(weights) {
-                // SAFETY: `t + 3 < head ≤ end ≤ ch.len()` (the gate is
-                // clamped to every channel read), so the 8 f64 from
-                // `ch[t]` are in bounds; `w` is one live `Complex`,
-                // i.e. two f64 (`#[repr(C)]`). Loads are unaligned.
-                unsafe {
-                    let w2 = _mm_loadu_pd((w as *const Complex).cast::<f64>());
-                    let wv = _mm256_set_m128d(w2, w2);
-                    let p = ch.as_ptr().add(t).cast::<f64>();
-                    let a = _mm256_mul_pd(_mm256_loadu_pd(p), wv);
-                    let b = _mm256_mul_pd(_mm256_loadu_pd(p.add(FPL)), wv);
-                    y = _mm256_add_pd(y, _mm256_hadd_pd(a, b));
-                }
-            }
-            let sq = _mm256_mul_pd(y, y);
-            let even = _mm256_castpd256_pd128(sq); // [t, t+2]
-            let odd = _mm256_extractf128_pd(sq, 1); // [t+1, t+3]
-            energy = _mm_add_sd(energy, even);
-            energy = _mm_add_sd(energy, odd);
-            energy = _mm_add_sd(energy, _mm_unpackhi_pd(even, even));
-            energy = _mm_add_sd(energy, _mm_unpackhi_pd(odd, odd));
-            t += FPL;
-        }
-        scalar::add_beam_energy(_mm_cvtsd_f64(energy), channels, weights, head, end)
-    }
 }
 
 #[cfg(test)]
@@ -1730,47 +1588,6 @@ mod tests {
                 let want = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 assert_eq!(max_f64_with(path, &xs), want, "n={n} on {path:?}");
             }
-        }
-    }
-
-    #[test]
-    fn gated_beam_energy_matches_complex_loop() {
-        // The complex multiply–accumulate the kernel replaces; the
-        // kernel must reproduce its real part's energy bit-for-bit.
-        let complex_loop = |chs: &[Vec<Complex>], w: &[Complex], start: usize, end: usize| {
-            let mut energy = 0.0;
-            for t in start..end {
-                let mut acc = Complex::ZERO;
-                for (ch, &wm) in chs.iter().zip(w) {
-                    acc += wm.conj() * ch[t];
-                }
-                energy += acc.re * acc.re;
-            }
-            energy
-        };
-        for path in paths() {
-            for m in [1usize, 2, 3, 6] {
-                let chs: Vec<Vec<Complex>> = (0..m).map(|c| cvec(13, 91 + c as u64)).collect();
-                let w = cvec(m, 97);
-                for (start, end) in [(0, 13), (0, 4), (1, 12), (3, 10), (5, 5), (9, 2)] {
-                    let want = complex_loop(&chs, &w, start, end.max(start));
-                    let got = gated_beam_energy_with(path, &chs, &w, start, end);
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "m={m} gate {start}..{end} on {path:?}"
-                    );
-                }
-            }
-            // The gate clamps to the shortest channel; channels beyond
-            // the weights are ignored; no channels give zero energy.
-            let chs = vec![cvec(9, 3), cvec(6, 5), cvec(2, 7)];
-            let w = cvec(2, 11);
-            assert_eq!(
-                gated_beam_energy_with(path, &chs, &w, 1, 40).to_bits(),
-                complex_loop(&chs[..2], &w, 1, 6).to_bits()
-            );
-            assert_eq!(gated_beam_energy_with(path, &[], &w, 0, 8), 0.0);
         }
     }
 

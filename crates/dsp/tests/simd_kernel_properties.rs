@@ -19,13 +19,19 @@
 //! On hosts without AVX2 the comparisons degenerate to scalar-vs-scalar
 //! and pass trivially; CI's dispatch matrix runs the suite on AVX2
 //! hardware.
+//!
+//! The suite also holds the imaging pixel kernel, `echo_dsp::gram`,
+//! which has one scalar implementation and is not bit-identical to the
+//! per-sample beam sum it replaced: it is checked against that sum,
+//! written here, under its stated absolute error bound.
 
 use echo_dsp::filter::{Biquad, SosFilter};
+use echo_dsp::gram::GateGram;
 use echo_dsp::peaks::{find_peaks, Peak};
 use echo_dsp::simd::{
     self, accum_norm_sqr_with, cmul_conj_in_place_with, cmul_in_place_with, cmul_into_with,
-    cmul_scale_into_with, gated_beam_energy_with, gemm_tile2_with, gemm_tile_with, max_f64_with,
-    radix2_stages_with, scale_in_place_with, sos_filtfilt_with, sqdist_f32_with, SimdPath,
+    cmul_scale_into_with, gemm_tile2_with, gemm_tile_with, max_f64_with, radix2_stages_with,
+    scale_in_place_with, sos_filtfilt_with, sqdist_f32_with, SimdPath,
 };
 use echo_dsp::Complex;
 use proptest::prelude::*;
@@ -42,9 +48,6 @@ const ULP_SCALE: u64 = 0;
 const ULP_GEMM_TILE: u64 = 0;
 const ULP_NORM_SQR: u64 = 0;
 const ULP_MAX: u64 = 0;
-// `gated_beam_energy` vectorises across samples only: each sample's
-// channel sum and the energy sum keep the scalar order.
-const ULP_BEAM_ENERGY: u64 = 0;
 
 /// Distance in units-in-the-last-place between two finite doubles,
 /// treating `+0.0` and `−0.0` as equal. Any NaN or sign disagreement is
@@ -294,29 +297,80 @@ proptest! {
         );
     }
 
-    // Gates of 0–300 samples (ragged 4-sample tails included) over 1–8
-    // channels, placed at the start, the end or the middle of the
-    // signal, which is `pad` samples longer than the gate.
-    fn gated_beam_energy_paths_agree(
+    // Gates of 0–300 samples over 1–8 channels, at the start, the end or
+    // the middle of a signal `pad` samples longer than the gate. The
+    // Gram sums span up to `pad` samples either side of the gate, and the
+    // gate asked for may run up to 3 samples past the signal (clipped).
+    // Weights are random, delay-and-sum-like (unit phasors over M), or
+    // cancel a last channel that is the sum of the others, so the beam
+    // is rounding noise and the form may round below zero.
+    fn gate_gram_matches_the_direct_beam_sum(
         gate in 0usize..301,
         m in 1usize..9,
         pad in 0usize..9,
         place in 0u8..3,
+        overrun in 0usize..4,
+        kind in 0u8..3,
         seed in 0u64..10_000,
     ) {
         let n = gate + pad;
-        let channels: Vec<Vec<Complex>> =
+        let mut channels: Vec<Vec<Complex>> =
             (0..m).map(|c| cvec(n, seed ^ (0x1F1F * (c as u64 + 1)))).collect();
-        let weights = cvec(m, seed ^ 0x6B6B);
+        let mut weights = cvec(m, seed ^ 0x6B6B);
+        match kind {
+            1 => {
+                let phases = fvec(m, seed ^ 0x3C3C);
+                for (w, p) in weights.iter_mut().zip(phases) {
+                    *w = Complex::cis(p).scale(1.0 / m as f64);
+                }
+            }
+            2 if m > 1 => {
+                let sum: Vec<Complex> = (0..n)
+                    .map(|t| channels[..m - 1].iter().fold(Complex::ZERO, |s, ch| s + ch[t]))
+                    .collect();
+                channels[m - 1] = sum;
+                let c = weights[0];
+                weights.iter_mut().for_each(|w| *w = c);
+                weights[m - 1] = Complex::ZERO - c;
+            }
+            _ => {}
+        }
         let start = match place {
             0 => 0,
             1 => pad,
             _ => pad / 2,
         };
-        let end = start + gate;
-        let s = gated_beam_energy_with(SimdPath::Scalar, &channels, &weights, start, end);
-        let v = gated_beam_energy_with(simd_path(), &channels, &weights, start, end);
-        assert_ulp(s, v, ULP_BEAM_ENERGY, "gated_beam_energy")?;
+        let (lo, hi) = (start.saturating_sub(pad), (start + gate + pad).min(n));
+        let end = start + gate + overrun;
+        let got = GateGram::new(&channels, lo, start + gate + pad).beam_energy(&weights, start, end);
+        let want = direct_beam_energy(&channels, &weights, start, end.min(n));
+        let union: f64 = channels
+            .iter()
+            .map(|ch| ch[lo..hi].iter().map(|x| x.norm_sqr()).sum::<f64>())
+            .sum();
+        let v2: f64 = weights.iter().map(|w| w.norm_sqr()).sum();
+        let bound = gram_error_bound(hi - lo, m, v2, union);
+        prop_assert!(got >= 0.0, "energy {:e} is negative", got);
+        prop_assert!(
+            (got - want).abs() <= bound,
+            "gate {}..{} of {}: {:e} vs direct {:e} (bound {:e})",
+            start, end, n, got, want, bound
+        );
+    }
+
+    // A beam that cancels exactly (a channel and its copy under opposite
+    // weights) images to 0.0, whatever the signal and the gate.
+    fn exactly_cancelling_beam_images_to_zero(
+        n in 1usize..301,
+        a in 0usize..301,
+        b in 0usize..301,
+        seed in 0u64..10_000,
+    ) {
+        let x = cvec(n, seed);
+        let w = cvec(1, seed ^ 0x7777)[0];
+        let gram = GateGram::new(&[x.clone(), x], 0, n);
+        let pixel = gram.beam_energy(&[w, Complex::ZERO - w], a.min(b), a.max(b)).sqrt();
+        prop_assert_eq!(pixel, 0.0);
     }
 
     fn max_paths_agree(n in 0usize..101, seed in 0u64..10_000) {
@@ -352,6 +406,35 @@ proptest! {
         let want = find_peaks_reference(&signal, min_distance, threshold);
         prop_assert_eq!(got, want);
     }
+}
+
+/// The gated real-beam energy summed sample by sample:
+/// `Σ_t (Σ_m w_m.re·x_m[t].re + w_m.im·x_m[t].im)²`.
+fn direct_beam_energy(
+    channels: &[Vec<Complex>],
+    weights: &[Complex],
+    start: usize,
+    end: usize,
+) -> f64 {
+    let mut energy = 0.0;
+    for t in start..end {
+        let mut y = 0.0;
+        for (ch, w) in channels.iter().zip(weights) {
+            y += w.re * ch[t].re + w.im * ch[t].im;
+        }
+        energy += y * y;
+    }
+    energy
+}
+
+/// The `GateGram` error bound against [`direct_beam_energy`]: absolute,
+/// `4·(L + 2M + 4)·ε·‖v‖²·E_union` for a union of `L` samples with
+/// energy `E_union` over `M` channels. Each running-sum entry is a
+/// sequential sum of at most `L` products, the quadratic form adds
+/// `2M + 2` roundings, and the direct sum `L + 2M`; by Cauchy–Schwarz
+/// each is within its count × `ε·‖v‖²·E_union`.
+fn gram_error_bound(union_len: usize, channels: usize, v2: f64, union_energy: f64) -> f64 {
+    4.0 * (union_len + 2 * channels + 4) as f64 * f64::EPSILON * v2 * union_energy
 }
 
 /// The unplanned FFT's stage loop over explicit twiddle tables, the

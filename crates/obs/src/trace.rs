@@ -129,21 +129,12 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Derives a child span id from its parent id, stage name, and logical
 /// index. Pure function of logical structure — no clocks, no counters —
 /// which is what makes span ids thread-count independent. Forced
 /// nonzero because 0 means "no parent".
 fn derive_span_id(parent: u64, name: &str, lidx: u64) -> u64 {
-    let mut h = fnv1a64(name.as_bytes());
+    let mut h = crate::fnv1a64(name.as_bytes());
     h ^= mix64(parent);
     h = h.wrapping_add(mix64(lidx.wrapping_add(0x5EED)));
     let id = mix64(h);

@@ -32,6 +32,7 @@
 //! [`take_drift_alarms`]) and bumps the `obs.drift_alarms` counter.
 
 use crate::audit::{AuthAudit, AuthVerdict, RejectKind};
+use crate::fnv::Fnv1a;
 use crate::histogram::HistogramSnapshot;
 use crate::registry::collecting;
 use crate::sketch::{psi, Sketch};
@@ -137,22 +138,22 @@ impl WindowRollup {
         self.lat.merge(&other.lat);
     }
 
-    fn hash_into(&self, h: &mut Fnv) {
-        h.write(self.epochs);
-        h.write(self.decisions);
-        h.write(self.accepted);
+    fn hash_into(&self, h: &mut Fnv1a) {
+        h.write_u64(self.epochs);
+        h.write_u64(self.decisions);
+        h.write_u64(self.accepted);
         for &r in &self.rejects {
-            h.write(r);
+            h.write_u64(r);
         }
         for &b in self.margins.bins() {
-            h.write(b);
+            h.write_u64(b);
         }
         for &b in self.coherence.bins() {
-            h.write(b);
+            h.write_u64(b);
         }
         // Latency: the observation *count* is deterministic; the bucket
         // placement and sum are wall-clock and excluded.
-        h.write(self.lat.count);
+        h.write_u64(self.lat.count);
     }
 }
 
@@ -208,11 +209,11 @@ impl WindowSnapshot {
     /// fields. Two runs of the same logical workload must produce
     /// equal fingerprints regardless of thread count.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write(self.tenant.map_or(u64::MAX, |t| t));
-        h.write(self.epoch);
-        h.write(self.epoch_len);
-        h.write(self.drift.map_or(0, |d| d.to_bits()));
+        let mut h = Fnv1a::new();
+        h.write_u64(self.tenant.map_or(u64::MAX, |t| t));
+        h.write_u64(self.epoch);
+        h.write_u64(self.epoch_len);
+        h.write_u64(self.drift.map_or(0, |d| d.to_bits()));
         self.cum.hash_into(&mut h);
         for w in &self.windows {
             w.hash_into(&mut h);
@@ -511,27 +512,6 @@ pub fn take_drift_alarms() -> Vec<DriftAlarm> {
 pub fn reset_windows() {
     let mut st = lock();
     *st = WindowState::new();
-}
-
-/// FNV-1a over `u64` words — tiny, dependency-free, stable across
-/// platforms (unlike `DefaultHasher`, whose algorithm is unspecified).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

@@ -204,9 +204,7 @@ impl MicArray {
     /// degraded-mode beamforming to image with the channels that survive
     /// health screening. Keeping the original indices strictly
     /// increasing preserves the channel↔position pairing of the parent
-    /// capture, and the subset's [`MicArray::geometry_fingerprint`]
-    /// differs from the full array's, so cached steering fields never
-    /// mix the two geometries.
+    /// capture.
     ///
     /// # Panics
     ///
@@ -287,28 +285,6 @@ impl MicArray {
     /// from the paper's spatial-sampling condition `d < λ/2` (§V-A).
     pub fn max_unambiguous_frequency(&self, speed_of_sound: f64) -> f64 {
         speed_of_sound / (2.0 * self.min_spacing())
-    }
-
-    /// A stable 64-bit fingerprint of the exact geometry (FNV-1a over
-    /// the microphone coordinates' bit patterns). Two arrays share a
-    /// fingerprint iff their positions are bit-identical, which makes it
-    /// usable as a cache key for geometry-derived quantities such as
-    /// steering fields.
-    pub fn geometry_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bits: u64| {
-            for b in bits.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(self.positions.len() as u64);
-        for p in &self.positions {
-            mix(p.x.to_bits());
-            mix(p.y.to_bits());
-            mix(p.z.to_bits());
-        }
-        h
     }
 }
 
@@ -406,19 +382,14 @@ mod tests {
     }
 
     #[test]
-    fn subset_preserves_positions_and_changes_fingerprint() {
+    fn subset_preserves_positions() {
         let arr = MicArray::respeaker_6();
         let sub = arr.subset(&[0, 2, 3, 5]);
         assert_eq!(sub.len(), 4);
         assert_eq!(sub.position(1), arr.position(2));
-        assert_ne!(
-            sub.geometry_fingerprint(),
-            arr.geometry_fingerprint(),
-            "sub-array must key caches separately"
-        );
         // A full-mask subset is the identical geometry.
         let full = arr.subset(&[0, 1, 2, 3, 4, 5]);
-        assert_eq!(full.geometry_fingerprint(), arr.geometry_fingerprint());
+        assert_eq!(full.positions(), arr.positions());
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * **Weights.** The MVDR (or delay-and-sum) weights depend only on the
 //!   sweep geometry and the train's noise covariance, so they are
 //!   designed once per (train, plane) into one flat table, cells in
-//!   steering-field order.
+//!   pixel order. The design steers the array at each cell straight
+//!   from the geometry and keeps nothing else but the cell distances.
 //! * **Pixels.** A pixel is the energy of the real beamformed signal
 //!   `Re Σ_m conj(w_m)·x_m[t]` over the cell's gate, and that energy is a
 //!   quadratic form of the gate's real sample Gram matrix. One
@@ -31,15 +32,13 @@
 
 use crate::config::{BeamformerKind, PipelineConfig};
 use crate::error::EchoImageError;
-use crate::steering_cache::{steering_field, SteeringField};
-use echo_array::MicArray;
+use echo_array::{Direction, MicArray, Vec3};
 use echo_beamform::{das_weights, MvdrDesigner, SpatialCovariance};
 use echo_dsp::gram::GateGram;
 use echo_dsp::{Complex, SPEED_OF_SOUND};
 use echo_ml::GrayImage;
 use echo_obs::TraceCtx;
 use echo_sim::BeepCapture;
-use std::sync::Arc;
 
 /// Constructs the acoustic image `AI_l` from one band-passed beep capture.
 ///
@@ -133,11 +132,14 @@ fn check_distance(horizontal_distance: f64) -> Result<(), EchoImageError> {
 /// once per (train, plane) and read by every beep imaged on it.
 #[derive(Debug, Clone)]
 pub(crate) struct PlaneWeights {
-    /// The plane's steering field (its cell distances drive the gates).
-    field: Arc<SteeringField>,
+    /// Grid cells per side.
+    grid_n: usize,
+    /// Cell-to-origin distance `D_k` per cell, in pixel order (drives
+    /// the echo time gates).
+    distances: Vec<f64>,
     /// Weights per cell (the array's microphone count).
     channels: usize,
-    /// `channels` weights per cell, cells in steering-field order.
+    /// `channels` weights per cell, cells in pixel order.
     table: Vec<Complex>,
 }
 
@@ -146,14 +148,11 @@ impl PlaneWeights {
     /// `cov`, recording a `stage.imaging.weights` span as child `lidx` of
     /// `ctx` (`lidx` is the plane's index within its train).
     ///
-    /// MVDR inverts the covariance once, then each cell is one
-    /// matrix–vector product written straight into the table: the m×K
-    /// product over the plane, bit-identical to per-cell `mvdr_weights`.
-    ///
-    /// Deliberately *no* steering-cache hit/miss attribute on the span:
-    /// concurrent trains can coalesce on one shared cache slot, so
-    /// *which* lookup classifies as the miss is scheduler-dependent even
-    /// though the aggregate counters are not (see DESIGN.md §9).
+    /// One pass over the grid: each cell's steering vector (Eq. 11–12 via
+    /// the general direction-to-point formula) feeds its weights straight
+    /// into the table and is then dropped. MVDR inverts the covariance
+    /// once, so each cell is one matrix–vector product: the m×K product
+    /// over the plane, bit-identical to per-cell `mvdr_weights`.
     pub(crate) fn design(
         array: &MicArray,
         horizontal_distance: f64,
@@ -165,34 +164,29 @@ impl PlaneWeights {
         check_distance(horizontal_distance)?;
         let mut tspan = echo_obs::stage!(ctx, "stage.imaging.weights", lidx);
         let icfg = &config.imaging;
-        tspan.attr_u64("grid_n", icfg.grid_n as u64);
-        // The steering vectors and cell distances depend only on the
-        // sweep geometry: fetch the shared field (computed once per
-        // geometry, process-wide).
-        let field = steering_field(
-            array,
-            icfg,
-            horizontal_distance,
-            config.beep.center_frequency(),
-        );
+        let grid_n = icfg.grid_n;
+        tspan.attr_u64("grid_n", grid_n as u64);
+        let f0 = config.beep.center_frequency();
+        let mvdr = match icfg.beamformer {
+            BeamformerKind::Mvdr => Some(MvdrDesigner::new(cov)?),
+            BeamformerKind::DelayAndSum => None,
+        };
         let channels = array.len();
-        let mut table = vec![Complex::ZERO; field.cells().len() * channels];
-        let cells = field.cells().iter().zip(table.chunks_exact_mut(channels));
-        match icfg.beamformer {
-            BeamformerKind::Mvdr => {
-                let designer = MvdrDesigner::new(cov)?;
-                for (cell, w) in cells {
-                    designer.weights_into(&cell.steering, w)?;
-                }
+        let mut table = vec![Complex::ZERO; grid_n * grid_n * channels];
+        let mut distances = Vec::with_capacity(grid_n * grid_n);
+        for (k, w) in table.chunks_exact_mut(channels).enumerate() {
+            let (x_k, z_k) = icfg.cell_center(k % grid_n, k / grid_n);
+            let cell = Vec3::new(x_k, horizontal_distance, z_k);
+            let steering = array.steering_vector(Direction::toward_point(cell), f0);
+            match &mvdr {
+                Some(designer) => designer.weights_into(&steering, w)?,
+                None => w.copy_from_slice(&das_weights(&steering)),
             }
-            BeamformerKind::DelayAndSum => {
-                for (cell, w) in cells {
-                    w.copy_from_slice(&das_weights(&cell.steering));
-                }
-            }
+            distances.push(cell.norm());
         }
         Ok(PlaneWeights {
-            field,
+            grid_n,
+            distances,
             channels,
             table,
         })
@@ -215,7 +209,7 @@ pub(crate) fn image_beep(
     lidx: u64,
 ) -> GrayImage {
     let mut tspan = echo_obs::stage!(ctx, "stage.imaging", lidx);
-    let grid_n = plane.field.grid_n();
+    let grid_n = plane.grid_n;
     tspan.attr_u64("grid_n", grid_n as u64);
     tspan.attr_u64("channels", plane.channels as u64);
     echo_obs::counter!("pipeline.images_constructed").inc();
@@ -231,11 +225,10 @@ pub(crate) fn image_beep(
     // (paper approximation: speaker ≈ array origin). An empty gate
     // images to 0.
     let gates: Vec<(usize, usize)> = plane
-        .field
-        .cells()
+        .distances
         .iter()
-        .map(|cell| {
-            let center = preroll as f64 + 2.0 * cell.distance / SPEED_OF_SOUND * fs;
+        .map(|&distance| {
+            let center = preroll as f64 + 2.0 * distance / SPEED_OF_SOUND * fs;
             let start = (center as isize - guard as isize).max(0) as usize;
             let end = ((center as usize).saturating_add(guard + chirp_len)).min(n);
             (start, end)

@@ -53,7 +53,6 @@ pub mod imaging;
 pub mod par;
 pub mod pipeline;
 pub mod spatial;
-pub mod steering_cache;
 pub mod store;
 pub mod template_cache;
 

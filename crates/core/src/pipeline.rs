@@ -355,9 +355,8 @@ impl EchoImagePipeline {
     ///   unchanged, so healthy captures stay bit-identical to it.
     /// * `Ok(Some((pipeline, channels)))` — some channels failed but at
     ///   least `max(min_mics, 2)` survive: the pipeline over the
-    ///   surviving mic subset (its own geometry fingerprint, so
-    ///   steering-field cache entries never mix) and the channels to
-    ///   keep of each capture. Bumps `degraded.activations`.
+    ///   surviving mic subset and the channels to keep of each capture.
+    ///   Bumps `degraded.activations`.
     /// * `Err(DegradedCapture)` — too few healthy microphones. Bumps
     ///   `degraded.rejections` and marks the span `rejected`.
     pub(crate) fn excise(

@@ -4,7 +4,7 @@
 //! analytic chirp template (paper Eq. 9). Synthesising that template and
 //! re-transforming it per call cost one chirp synthesis, one Hilbert
 //! transform, and one forward FFT per capture. This cache — a
-//! [`SlotCache`] like [`crate::steering_cache`] — keys an
+//! [`SlotCache`] like [`echo_dsp::plan::fft_plan`] — keys an
 //! [`echo_dsp::correlate::MatchedFilterPlan`] on the beep parameters, so
 //! a process re-pays the template only when the beep design changes
 //! (ablation sweeps), not per authentication.
@@ -53,7 +53,7 @@ pub fn chirp_template_plan(beep: &BeepConfig) -> Arc<MatchedFilterPlan> {
 /// cache, for trace-span attribution. Template lookups happen on the
 /// serial distance-estimation path, so the returned flag is
 /// deterministic for a fixed workload and cache state (unlike the
-/// steering-field cache, whose parallel lookups coalesce racers).
+/// FFT-plan cache, whose parallel lookups coalesce racers).
 pub fn chirp_template_plan_classified(beep: &BeepConfig) -> (Arc<MatchedFilterPlan>, bool) {
     CACHE.get_or_compute(template_key(beep), || {
         let chirp = beep.chirp().samples();

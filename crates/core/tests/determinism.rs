@@ -1,16 +1,15 @@
 //! Bit-level determinism of the parallel imaging engine.
 //!
-//! The parallel sweep, the steering-field cache and the precomputed
-//! MVDR designer are all claimed to be *bit-identical* to the serial
-//! reference path. These tests hold that claim to `f64::to_bits`
-//! equality — not approximate closeness — because a biometric template
-//! must not depend on the machine's core count or on cache state.
+//! The parallel sweep and the precomputed MVDR designer are both
+//! claimed to be *bit-identical* to the serial reference path. These
+//! tests hold that claim to `f64::to_bits` equality — not approximate
+//! closeness — because a biometric template must not depend on the
+//! machine's core count.
 
 use echo_ml::GrayImage;
 use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
-use echoimage_core::steering_cache;
 
 fn config(threads: usize) -> PipelineConfig {
     PipelineConfig {
@@ -80,23 +79,6 @@ fn multi_plane_fanout_matches_serial_reference() {
     // capture-major order: (beeps) × (estimate + two offsets).
     assert_eq!(serial.len(), 2 * 3);
     assert_images_bit_identical(&serial, &parallel);
-}
-
-#[test]
-fn warm_steering_cache_matches_cold_computation() {
-    let scene = Scene::new(SceneConfig::laboratory_quiet(17));
-    let body = BodyModel::from_seed(23);
-    let cap = scene.capture_beep(&body, &Placement::standing_front(0.7), 0, 0);
-    let pipeline = EchoImagePipeline::new(config(1));
-
-    steering_cache::clear_cache();
-    let cold = pipeline.acoustic_image(&cap, 0.7).unwrap();
-    assert!(
-        steering_cache::cache_len() > 0,
-        "cold run must populate the cache"
-    );
-    let warm = pipeline.acoustic_image(&cap, 0.7).unwrap();
-    assert_images_bit_identical(std::slice::from_ref(&cold), std::slice::from_ref(&warm));
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! multiply–accumulate, kept here as the oracle, within the kernel's
 //! stated error bound.
 
-use echo_array::MicArray;
+use echo_array::{Direction, MicArray, Vec3};
 use echo_beamform::{das_weights, MvdrDesigner, SpatialCovariance};
 use echo_dsp::hilbert::analytic_signal_padded;
 use echo_dsp::{Complex, SPEED_OF_SOUND};
@@ -31,7 +31,6 @@ use echoimage_core::enrollment::{
 };
 use echoimage_core::imaging;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainImages, TrainRequest};
-use echoimage_core::steering_cache;
 
 /// Worker threads for the pipeline under test (`ECHOIMAGE_THREADS`,
 /// default auto).
@@ -246,10 +245,11 @@ fn screened_enrollment_matches_enrollment_on_the_subset_pipeline() {
 }
 
 /// The imaging loop before the shared-signal rewrite, given the same
-/// padded analytic signal: per-cell weights, then the complex
-/// multiply–accumulate `Σ_m conj(w_m)·x_m[t]` over the gate, keeping
-/// the energy of the real part. Returns each cell's energy (row-major)
-/// with the absolute error the Gram kernel is allowed against it:
+/// padded analytic signal: per-cell steering toward the cell centre,
+/// per-cell weights, then the complex multiply–accumulate
+/// `Σ_m conj(w_m)·x_m[t]` over the gate, keeping the energy of the real
+/// part. Returns each cell's energy (row-major) with the absolute error
+/// the Gram kernel is allowed against it:
 /// `4·(L + 2M + 4)·ε·‖w‖²·E_union`, for the union of the plane's gates
 /// (`L` samples, energy `E_union` over `M` channels). Per-pixel relative
 /// error means nothing where a beam cancels.
@@ -270,22 +270,21 @@ fn complex_loop_energies(
         .collect();
     let guard = (icfg.safeguard * fs).round() as usize;
     let chirp_len = config.beep.chirp_samples();
-    let field = steering_cache::compute_field(
-        array,
-        icfg,
-        horizontal_distance,
-        config.beep.center_frequency(),
-    );
     let designer = MvdrDesigner::new(cov).unwrap();
     let mut cells = Vec::new();
     for row in 0..icfg.grid_n {
         for col in 0..icfg.grid_n {
-            let cell = field.cell(col, row);
+            let (x_k, z_k) = icfg.cell_center(col, row);
+            let point = Vec3::new(x_k, horizontal_distance, z_k);
+            let steering = array.steering_vector(
+                Direction::toward_point(point),
+                config.beep.center_frequency(),
+            );
             let weights = match icfg.beamformer {
-                BeamformerKind::Mvdr => designer.weights(&cell.steering).unwrap(),
-                BeamformerKind::DelayAndSum => das_weights(&cell.steering),
+                BeamformerKind::Mvdr => designer.weights(&steering).unwrap(),
+                BeamformerKind::DelayAndSum => das_weights(&steering),
             };
-            let center = capture.preroll() as f64 + 2.0 * cell.distance / SPEED_OF_SOUND * fs;
+            let center = capture.preroll() as f64 + 2.0 * point.norm() / SPEED_OF_SOUND * fs;
             let start = (center as isize - guard as isize).max(0) as usize;
             let end = ((center as usize).saturating_add(guard + chirp_len)).min(n);
             let mut energy = 0.0;

@@ -8,7 +8,8 @@
 //! at the `ECHOIMAGE_THREADS` count under test, and the full counter
 //! map (plus every histogram's observation *count*) must match exactly.
 //! Cache hit/miss accounting is additionally pinned to exact values for
-//! cold and warm cache states.
+//! cold and warm cache states, and the imaging weights to one design per
+//! (train, plane).
 //!
 //! The metrics registry and the process caches are global, so every
 //! test serialises on one lock and starts from a cleared state.
@@ -21,7 +22,7 @@ use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::enrollment::{enroll_features, EnrollRequest, EnrollmentConfig};
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
-use echoimage_core::{steering_cache, template_cache, EchoImageError};
+use echoimage_core::{template_cache, EchoImageError};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -29,7 +30,6 @@ static LOCK: Mutex<()> = Mutex::new(());
 /// metrics registry, so each test observes only its own events.
 fn guard() -> MutexGuard<'static, ()> {
     let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    steering_cache::clear_cache();
     template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::set_enabled(true);
@@ -106,7 +106,6 @@ fn counters_identical_across_thread_counts() {
     let serial_metrics = deterministic_metrics();
 
     // Fresh cold start for the pooled run: same workload, same caches.
-    steering_cache::clear_cache();
     template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
@@ -130,31 +129,42 @@ fn counters_identical_across_thread_counts() {
 }
 
 #[test]
-fn steering_cache_counts_exactly_cold_then_warm() {
+fn weights_are_designed_once_per_train_plane() {
     let _g = guard();
     let caps = capture_train(3);
     let pipeline = EchoImagePipeline::new(config(pool_threads()));
     echo_obs::reset();
 
-    // The field is looked up once per (train, plane), when the plane's
-    // weights are designed, not once per beep.
-    // Cold: one geometry for the whole train → 1 miss, no hits.
+    // Auth: one plane at the estimate. Its weights are designed once,
+    // and all three beeps are imaged with them.
     pipeline.features_from_train(&caps).unwrap();
-    let cold = deterministic_metrics();
-    assert_eq!(cold.get("steering_cache.miss"), Some(&1), "{cold:?}");
-    assert_eq!(cold.get("steering_cache.hit"), None, "{cold:?}");
+    let auth = deterministic_metrics();
     assert_eq!(
-        cold.get("stage.imaging.weights#count"),
+        auth.get("stage.imaging.weights#count"),
         Some(&1),
-        "{cold:?}"
+        "{auth:?}"
     );
+    assert_eq!(auth.get("stage.imaging#count"), Some(&3), "{auth:?}");
 
-    // Warm: same geometry again → no new misses, 1 hit.
+    // Enrolment: the estimate plus two offsets is three planes, each
+    // designed once for the whole train.
+    let recipe = EnrollmentConfig::default();
+    assert_eq!(recipe.plane_offsets.len(), 2);
     echo_obs::reset();
-    pipeline.features_from_train(&caps).unwrap();
-    let warm = deterministic_metrics();
-    assert_eq!(warm.get("steering_cache.miss"), None, "{warm:?}");
-    assert_eq!(warm.get("steering_cache.hit"), Some(&1), "{warm:?}");
+    let request = EnrollRequest {
+        visits: std::slice::from_ref(&caps),
+        recipe: &recipe,
+        screen: false,
+        parent: None,
+    };
+    enroll_features(&pipeline, &request).unwrap();
+    let enrol = deterministic_metrics();
+    assert_eq!(
+        enrol.get("stage.imaging.weights#count"),
+        Some(&3),
+        "{enrol:?}"
+    );
+    assert_eq!(enrol.get("stage.imaging#count"), Some(&9), "{enrol:?}");
 }
 
 #[test]
@@ -185,13 +195,11 @@ fn template_and_plan_caches_count_exactly_cold_then_warm() {
     let lookups = |m: &BTreeMap<String, u64>, cache: &str| {
         m.get(&format!("{cache}.hit")).unwrap_or(&0) + m.get(&format!("{cache}.miss")).unwrap_or(&0)
     };
-    for cache in ["template_cache", "steering_cache"] {
-        assert_eq!(
-            lookups(&cold, cache),
-            lookups(&warm, cache),
-            "{cache} lookup count changed between cold and warm runs"
-        );
-    }
+    assert_eq!(
+        lookups(&cold, "template_cache"),
+        lookups(&warm, "template_cache"),
+        "template_cache lookup count changed between cold and warm runs"
+    );
 }
 
 #[test]
@@ -213,7 +221,6 @@ fn degraded_path_counters_identical_across_thread_counts() {
     assert!(!health.all_healthy(), "the dead channel must be flagged");
     let serial_metrics = deterministic_metrics();
 
-    steering_cache::clear_cache();
     template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
@@ -301,7 +308,6 @@ fn disabled_registry_records_nothing_from_the_pipeline() {
 
     // Disabling observability must not change the pipeline's output.
     echo_obs::set_enabled(true);
-    steering_cache::clear_cache();
     template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     let enabled = EchoImagePipeline::new(config(pool_threads()))

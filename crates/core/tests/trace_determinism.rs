@@ -22,7 +22,7 @@ use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::auth::{AuthAttempt, Authenticator};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
-use echoimage_core::{steering_cache, template_cache};
+use echoimage_core::template_cache;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -53,7 +53,6 @@ fn guard() -> Armed {
 }
 
 fn clear_caches() {
-    steering_cache::clear_cache();
     template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
 }

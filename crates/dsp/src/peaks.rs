@@ -75,11 +75,6 @@ pub fn strongest_peak_in(peaks: &[Peak], start: usize, end: usize) -> Option<Pea
         .max_by(|a, b| a.value.total_cmp(&b.value))
 }
 
-/// The first (earliest-index) peak at or after `start`.
-pub fn first_peak_at_or_after(peaks: &[Peak], start: usize) -> Option<Peak> {
-    peaks.iter().find(|p| p.index >= start).copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,22 +172,5 @@ mod tests {
             None.or(strongest_peak_in(&peaks, 5, 10))
         );
         assert!(strongest_peak_in(&peaks, 5, 10).is_none());
-    }
-
-    #[test]
-    fn first_peak_lookup() {
-        let peaks = vec![
-            Peak {
-                index: 2,
-                value: 1.0,
-            },
-            Peak {
-                index: 10,
-                value: 5.0,
-            },
-        ];
-        assert_eq!(first_peak_at_or_after(&peaks, 0).unwrap().index, 2);
-        assert_eq!(first_peak_at_or_after(&peaks, 3).unwrap().index, 10);
-        assert!(first_peak_at_or_after(&peaks, 11).is_none());
     }
 }

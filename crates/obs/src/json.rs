@@ -33,18 +33,23 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (surrounding whitespace
-    /// allowed). Accepts the full JSON grammar; a float literal too
-    /// large for `f64` (`1e999`) becomes infinity like
-    /// `f64::from_str` does, and an integer literal too large for
-    /// `i128` parses as a float.
+    /// allowed). Accepts the full JSON grammar, including `\u` escapes
+    /// of surrogate pairs; a float literal too large for `f64` (`1e999`)
+    /// becomes infinity like `f64::from_str` does, and an integer
+    /// literal too large for `i128` parses as a float. Time is linear
+    /// in the document's length.
     ///
     /// # Errors
     ///
     /// A message naming the byte offset of the first malformed token.
+    /// Arrays and objects nested more than 128 levels deep are an error
+    /// too, so hostile input cannot overflow the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -269,9 +274,20 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level; the artefacts this workspace
+/// writes nest at most a handful of levels.
+const MAX_DEPTH: usize = 128;
+
+/// `pos` only ever stops on a char boundary of `text`: every token and
+/// delimiter the parser steps over is ASCII, and plain string content
+/// is consumed in whole-char runs.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -305,8 +321,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -314,6 +330,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -389,35 +420,64 @@ impl Parser<'_> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid codepoint \\u{hex}"))?,
-                            );
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => {
                             return Err(format!("unknown escape `\\{}`", other as char));
                         }
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar. `pos` only ever stops on
-                    // char boundaries, so the suffix re-validates.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the plain run up to the next quote or escape.
+                    // Both are ASCII, so the run is whole chars.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
+    }
+
+    /// The char of a `\uXXXX` escape whose `\u` was just consumed. A
+    /// high surrogate must be followed by an escaped low one, and the
+    /// pair decodes to one char.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let start = self.pos - 2;
+        let lone = || format!("lone surrogate in \\u escape at byte {start}");
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(lone());
+                }
+                self.pos += 2;
+                match self.hex4()? {
+                    low @ 0xDC00..=0xDFFF => 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00),
+                    _ => return Err(lone()),
+                }
+            }
+            0xDC00..=0xDFFF => return Err(lone()),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| format!("invalid codepoint at byte {start}"))
+    }
+
+    /// Four hex digits, as a code unit.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
+        let mut code = 0;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| format!("non-hex digit in \\u escape at byte {}", self.pos))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -425,7 +485,7 @@ impl Parser<'_> {
         while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.pos];
         if !text.contains(['.', 'e', 'E']) {
             if let Ok(n) = text.parse::<i128>() {
                 return Ok(Json::Int(n));
@@ -585,6 +645,62 @@ mod tests {
     fn rejects_malformed_documents() {
         for doc in ["{", r#"{"a": }"#, "[1,]", r#""unterminated"#, "1 2", "tru"] {
             assert!(Json::parse(doc).is_err(), "accepted {doc:?}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&past_cap).unwrap_err();
+        assert!(err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A parser that re-validates the rest of the document per char
+        // takes ~45 s on this 360 KB document in a debug build, and 4×
+        // that at twice the size. A linear one takes milliseconds.
+        let text = "ab ü 😀 ".repeat(1 << 14);
+        let doc = format!("[\"{text}\", {{\"k\": \"{text}\"}}]");
+        let started = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        assert!(started.elapsed().as_secs() < 5, "{:?}", started.elapsed());
+        let want = Json::Arr(vec![
+            Json::Str(text.clone()),
+            Json::Obj(vec![("k".into(), Json::Str(text))]),
+        ]);
+        assert_eq!(v, want);
+    }
+
+    #[test]
+    fn surrogate_pair_escape_decodes_to_one_char() {
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap(),
+            Json::Str("\u{1F600}".into())
+        );
+        assert_eq!(
+            Json::parse(r#""a\uD83D\uDE00b\u00fc""#).unwrap(),
+            Json::Str("a\u{1F600}bü".into())
+        );
+    }
+
+    #[test]
+    fn lone_surrogates_and_non_hex_escapes_are_errors() {
+        for doc in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u00g1""#,
+            r#""\u00""#,
+        ] {
+            assert!(Json::parse(doc).is_err(), "accepted {doc}");
         }
     }
 }

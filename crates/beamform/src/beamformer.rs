@@ -7,7 +7,6 @@
 use crate::cmatrix::CMatrix;
 use crate::covariance::SpatialCovariance;
 use crate::error::BeamformError;
-use echo_dsp::hilbert::analytic_signal;
 use echo_dsp::Complex;
 
 /// Delay-and-sum weights `w = a/M` for steering vector `a`.
@@ -161,22 +160,6 @@ pub fn apply_weights(channels: &[Vec<Complex>], weights: &[Complex]) -> Vec<Comp
         }
     }
     out
-}
-
-/// Beamforms M real microphone signals: converts each channel to its
-/// analytic signal, applies `weights`, and returns the real part.
-///
-/// This is the operation written `r̂_l(t)` in the paper (§V-B, §V-C).
-///
-/// # Panics
-///
-/// See [`apply_weights`].
-pub fn beamform_real(channels: &[Vec<f64>], weights: &[Complex]) -> Vec<f64> {
-    let analytic: Vec<Vec<Complex>> = channels.iter().map(|ch| analytic_signal(ch)).collect();
-    apply_weights(&analytic, weights)
-        .into_iter()
-        .map(|v| v.re)
-        .collect()
 }
 
 #[cfg(test)]
@@ -344,21 +327,6 @@ mod tests {
                 assert_eq!(actual, 4);
             }
             other => panic!("expected dimension mismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn beamform_real_passes_aligned_tone() {
-        // All-equal channels with unit DAS weights return the tone.
-        let n = 480;
-        let tone: Vec<f64> = (0..n)
-            .map(|t| (2.0 * PI * 2_500.0 * t as f64 / 48_000.0).sin())
-            .collect();
-        let channels = vec![tone.clone(); 4];
-        let w = vec![Complex::from_real(0.25); 4];
-        let y = beamform_real(&channels, &w);
-        for (a, b) in y[40..n - 40].iter().zip(tone[40..].iter()) {
-            assert!((a - b).abs() < 1e-6);
         }
     }
 

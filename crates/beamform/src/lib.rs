@@ -38,7 +38,7 @@ pub mod covariance;
 mod error;
 pub mod pattern;
 
-pub use beamformer::{apply_weights, beamform_real, das_weights, mvdr_weights, MvdrDesigner};
+pub use beamformer::{apply_weights, das_weights, mvdr_weights, MvdrDesigner};
 pub use cmatrix::CMatrix;
 pub use covariance::SpatialCovariance;
 pub use error::BeamformError;

@@ -25,7 +25,7 @@
 //! explicit path even under `--quick` (the bench-regression gate uses
 //! this to collect a fresh sample without disturbing the baseline).
 
-use echo_bench::{banner, flag_value, quick_mode, run_or_exit};
+use echo_bench::{banner_with_flags, flag_value, quick_mode, run_or_exit};
 use echo_dsp::correlate::{matched_filter, CorrelationScratch, MatchedFilterPlan};
 use echo_dsp::fft::{fft, ifft, next_pow2};
 use echo_dsp::Complex;
@@ -125,7 +125,8 @@ fn assert_bits_eq(label: &str, a: &[Vec<f64>], b: &[Vec<f64>]) {
 }
 
 fn main() {
-    banner(
+    banner_with_flags(
+        &["--out"],
         "feature_bench",
         "image→embedding and matched-filter hot paths",
         "standing perf gate: GEMM forward ≥ 4× naive; batch scales with \

@@ -6,12 +6,13 @@
 //! run fail (exit 1) when the population replay attack-success-rate at
 //! the deployed spread ceiling exceeds `<rate>`.
 
-use echo_bench::{artefact_note, banner, flag_value, quick_mode, run_or_exit};
+use echo_bench::{artefact_note, banner_with_flags, flag_value, quick_mode, run_or_exit};
 use echo_eval::experiments::fig_attack;
 use echo_eval::report;
 
 fn main() {
-    banner(
+    banner_with_flags(
+        &["--asr-ceiling"],
         "Attack suite",
         "replay + twin attack-success-rate vs EER (extension)",
         "the paper evaluates zero-effort spoofers only",

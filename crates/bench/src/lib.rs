@@ -93,11 +93,44 @@ pub fn run_or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) ->
     }
 }
 
-/// Prints a standard experiment header, and arms the flight recorder
-/// when the run asked for a trace: `--trace-out <path>` switches span
-/// recording on, `--trace-sample <n>` keeps one trace in `n`
-/// (deterministic on the trace serial; default keeps every trace).
-pub fn banner(id: &str, title: &str, paper_claim: &str) {
+/// The value flags every experiment binary reads, besides the switch
+/// `--quick`.
+const VALUE_FLAGS: &[&str] = &["--metrics-out", "--trace-out", "--trace-sample"];
+
+/// Why `args` (without the program name) is not a command line the
+/// binary reads: an argument that is neither a common flag nor one of
+/// `extra` (value flags of this binary alone), or a value flag with no
+/// value after it.
+fn bad_args(args: &[String], extra: &[&str]) -> Option<String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "--quick" {
+            continue;
+        }
+        if !VALUE_FLAGS.contains(&a.as_str()) && !extra.contains(&a.as_str()) {
+            return Some(format!("unknown argument `{a}`"));
+        }
+        if it.next().is_none() {
+            return Some(format!("`{a}` needs a value"));
+        }
+    }
+    None
+}
+
+/// [`banner`] for a binary that also reads the value flags `extra`.
+pub fn banner_with_flags(extra: &[&str], id: &str, title: &str, paper_claim: &str) {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    if let Some(problem) = bad_args(&args, extra) {
+        let values = VALUE_FLAGS
+            .iter()
+            .chain(extra)
+            .map(|f| format!(" [{f} <value>]"));
+        eprintln!("error: {problem}");
+        eprintln!("usage: {program} [--quick]{}", values.collect::<String>());
+        std::process::exit(2);
+    }
     if trace_out().is_some() {
         echo_obs::set_trace_enabled(true);
         if let Some(n) = flag_value("--trace-sample").and_then(|v| v.parse::<u64>().ok()) {
@@ -108,6 +141,19 @@ pub fn banner(id: &str, title: &str, paper_claim: &str) {
     println!("EchoImage reproduction — {id}: {title}");
     println!("paper: {paper_claim}");
     println!("════════════════════════════════════════════════════════════════");
+}
+
+/// Checks the command line, prints a standard experiment header, and
+/// arms the flight recorder when the run asked for a trace.
+///
+/// Every experiment binary calls this first. An argument it does not
+/// read (`--help`, a typo such as `--quik`) prints a usage line and
+/// exits with status 2 before anything runs or any file is written.
+/// `--trace-out <path>` switches span recording on, `--trace-sample
+/// <n>` keeps one trace in `n` (deterministic on the trace serial;
+/// default keeps every trace).
+pub fn banner(id: &str, title: &str, paper_claim: &str) {
+    banner_with_flags(&[], id, title, paper_claim);
 }
 
 /// Formats one metrics row.
@@ -121,4 +167,46 @@ pub fn metrics_row(label: &str, m: &AuthMetrics) -> String {
 /// Reports where the JSON artefact landed.
 pub fn artefact_note(path: &std::path::Path) {
     println!("\nartefact: {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bad_args;
+
+    fn check(args: &[&str], extra: &[&str]) -> Option<String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        bad_args(&args, extra)
+    }
+
+    #[test]
+    fn common_and_declared_flags_pass_with_their_values() {
+        assert_eq!(check(&[], &[]), None);
+        let all = [
+            "--quick",
+            "--metrics-out",
+            "m.json",
+            "--trace-out",
+            "t.jsonl",
+            "--trace-sample",
+            "2",
+        ];
+        assert_eq!(check(&all, &[]), None);
+        // A value is never read as a flag, whatever it looks like.
+        assert_eq!(check(&["--metrics-out", "--quik"], &[]), None);
+        assert_eq!(check(&["--quick", "--out", "x.json"], &["--out"]), None);
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_named() {
+        for arg in ["--help", "--quik", "-q", "quick", "--out"] {
+            let problem = check(&["--quick", arg], &[]).expect(arg);
+            assert_eq!(problem, format!("unknown argument `{arg}`"));
+        }
+        assert!(check(&["--asr-ceiling", "0.01"], &["--out"]).is_some());
+        assert_eq!(
+            check(&["--quick", "--trace-out"], &[]),
+            Some("`--trace-out` needs a value".into())
+        );
+        assert!(check(&["--out"], &["--out"]).is_some());
+    }
 }

@@ -187,7 +187,9 @@ pub(crate) fn estimate_from_analytic(
         let beamformed = apply_weights(channels, &weights);
         // |C_l(t)| of the analytic correlation *is* the envelope E_l(t).
         let correlation = chirp_plan.matched_filter_complex_with(&beamformed, &mut corr_scratch);
-        echo_dsp::simd::accum_norm_sqr(&mut accumulated, &correlation);
+        for (acc, c) in accumulated.iter_mut().zip(&correlation) {
+            *acc += c.norm_sqr();
+        }
     }
     let l = captures.len() as f64;
     for v in &mut accumulated {
@@ -264,7 +266,7 @@ fn locate_peaks(
     preroll: usize,
     dcfg: &DistanceConfig,
 ) -> Result<DistanceEstimate, EchoImageError> {
-    let max = echo_dsp::simd::max_f64(&envelope).max(0.0);
+    let max = envelope.iter().copied().fold(0.0, f64::max);
     if max <= 0.0 {
         return Err(EchoImageError::DirectPathNotFound);
     }
@@ -319,7 +321,10 @@ fn locate_peaks(
     // preroll — otherwise an empty room would "range" its own noise.
     let clean_preroll = preroll.saturating_sub(2 * chirp_period);
     let preroll_floor = if clean_preroll > 16 {
-        echo_dsp::simd::max_f64(&smoothed[..clean_preroll]).max(0.0)
+        smoothed[..clean_preroll]
+            .iter()
+            .copied()
+            .fold(0.0, f64::max)
     } else {
         0.0
     };

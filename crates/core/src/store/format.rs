@@ -170,6 +170,7 @@ macro_rules! cast_fn {
         ///
         /// [`StoreError::Truncated`] or [`StoreError::Misaligned`],
         /// both carrying `off`.
+        #[allow(unsafe_code)]
         pub fn $name<'a>(
             bytes: &'a [u8],
             off: usize,

@@ -35,6 +35,7 @@
 //! pins this.
 
 pub mod format;
+#[allow(unsafe_code)] // the `mmap(2)` wrapper
 pub mod mmap;
 pub mod prefilter;
 pub mod shard;

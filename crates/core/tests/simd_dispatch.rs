@@ -113,8 +113,9 @@ fn dispatch_gauge_reports_forced_path() {
 fn forcing_scalar_is_always_honoured() {
     // Whatever this process's env says, the explicit-path kernels must
     // accept a scalar forcing — the mandatory fallback of the tentpole.
-    let xs = [3.0, -1.0, 7.5, 2.0, 7.5, -9.0];
-    assert_eq!(simd::max_f64_with(simd::SimdPath::Scalar, &xs), 7.5);
+    let a = [3.0, -1.0, 7.5, 2.0, 7.5, -9.0];
+    let b = [1.0, -1.0, 5.5, 2.0, 7.5, -6.0];
+    assert_eq!(simd::sqdist_f32_with(simd::SimdPath::Scalar, &a, &b), 17.0);
 }
 
 /// Everything the cross-mode bit-identity contract covers, rendered

@@ -12,9 +12,9 @@
 //!
 //! * every transform goes through the process-wide [`fft_plan`] cache, so
 //!   twiddle tables are computed once per padded size;
-//! * [`matched_filter`] and [`convolve`] pack their two *real* inputs into
-//!   one complex signal (`z = signal + i·template`) and separate the
-//!   spectra by conjugate symmetry — one forward FFT instead of two;
+//! * [`matched_filter`] packs its two *real* inputs into one complex
+//!   signal (`z = signal + i·template`) and separates the spectra by
+//!   conjugate symmetry — one forward FFT instead of two;
 //! * a [`MatchedFilterPlan`] pins a fixed template (the transmitted
 //!   chirp) and caches its spectrum per padded size, so a beep train pays
 //!   one forward FFT *per capture* and none for the template. The
@@ -24,7 +24,6 @@
 use crate::complex::Complex;
 use crate::fft::next_pow2;
 use crate::plan::{fft_plan, FftPlan, FftScratch};
-use crate::simd;
 use std::sync::{Arc, Mutex};
 
 /// Reusable padded work buffer for the correlation routines.
@@ -45,12 +44,11 @@ impl CorrelationScratch {
 }
 
 /// Packs two real signals into one complex buffer, transforms once, and
-/// leaves the *product* spectrum (`A·B` or `A·conj(B)`) in `scratch.buf`,
+/// leaves the cross-correlation spectrum `A·conj(B)` in `scratch.buf`,
 /// exploiting `A[k] = (Z[k] + Z̄[n−k])/2`, `B[k] = −i(Z[k] − Z̄[n−k])/2`.
 fn packed_real_product(
     signal: &[f64],
     template: &[f64],
-    conjugate_template: bool,
     plan: &FftPlan,
     scratch: &mut CorrelationScratch,
 ) {
@@ -76,11 +74,7 @@ fn packed_real_product(
         let a = (zk + zr) * 0.5;
         let d = zk - zr;
         let b = Complex::new(d.im * 0.5, -d.re * 0.5);
-        let p = if conjugate_template {
-            a * b.conj()
-        } else {
-            a * b
-        };
+        let p = a * b.conj();
         z[k] = p;
         z[kr] = p.conj();
     }
@@ -144,7 +138,7 @@ pub fn matched_filter_with_plan(
     }
     let size = next_pow2(signal.len() + template.len() - 1);
     assert_eq!(plan.len(), size, "plan sized for a different correlation");
-    packed_real_product(signal, template, true, plan, scratch);
+    packed_real_product(signal, template, plan, scratch);
     plan.ifft_with(&mut scratch.buf, &mut scratch.fft);
     scratch.buf[..signal.len()].iter().map(|v| v.re).collect()
 }
@@ -174,54 +168,12 @@ pub fn matched_filter_complex(signal: &[Complex], template: &[Complex]) -> Vec<C
 
     plan.fft_with(&mut a, &mut scratch);
     plan.fft_with(&mut b, &mut scratch);
-    simd::cmul_conj_in_place(&mut a, &b);
+    for (x, y) in a.iter_mut().zip(&b) {
+        *x *= y.conj();
+    }
     plan.ifft_with(&mut a, &mut scratch);
     a.truncate(n);
     a
-}
-
-/// Full linear convolution `signal * kernel` of length `n + m − 1`.
-///
-/// # Panics
-///
-/// Panics if either input is empty.
-pub fn convolve(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-    assert!(
-        !signal.is_empty() && !kernel.is_empty(),
-        "convolve needs non-empty inputs"
-    );
-    let size = next_pow2(signal.len() + kernel.len() - 1);
-    convolve_with_plan(
-        signal,
-        kernel,
-        &fft_plan(size),
-        &mut CorrelationScratch::new(),
-    )
-}
-
-/// [`convolve`] reusing a caller-provided plan and scratch.
-///
-/// `plan` must be for `next_pow2(signal.len() + kernel.len() − 1)` points.
-///
-/// # Panics
-///
-/// Panics if either input is empty or the plan length does not match.
-pub fn convolve_with_plan(
-    signal: &[f64],
-    kernel: &[f64],
-    plan: &FftPlan,
-    scratch: &mut CorrelationScratch,
-) -> Vec<f64> {
-    assert!(
-        !signal.is_empty() && !kernel.is_empty(),
-        "convolve needs non-empty inputs"
-    );
-    let out_len = signal.len() + kernel.len() - 1;
-    let size = next_pow2(out_len);
-    assert_eq!(plan.len(), size, "plan sized for a different convolution");
-    packed_real_product(signal, kernel, false, plan, scratch);
-    plan.ifft_with(&mut scratch.buf, &mut scratch.fft);
-    scratch.buf[..out_len].iter().map(|v| v.re).collect()
 }
 
 /// A matched filter with a pinned template whose spectrum is cached.
@@ -344,7 +296,6 @@ impl MatchedFilterPlan {
         let out = self.correlate_padded(
             signal.iter().map(|&x| Complex::from_real(x)),
             signal.len(),
-            true,
             scratch,
         );
         out.iter().take(signal.len()).map(|v| v.re).collect()
@@ -365,37 +316,17 @@ impl MatchedFilterPlan {
         if signal.is_empty() {
             return Vec::new();
         }
-        let out = self.correlate_padded(signal.iter().copied(), signal.len(), true, scratch);
+        let out = self.correlate_padded(signal.iter().copied(), signal.len(), scratch);
         out[..signal.len()].to_vec()
     }
 
-    /// Linear convolution of a real `signal` with the pinned template
-    /// (same contract as [`convolve`] with the template as kernel).
-    pub fn convolve(&self, signal: &[f64]) -> Vec<f64> {
-        self.convolve_with(signal, &mut CorrelationScratch::new())
-    }
-
-    /// [`MatchedFilterPlan::convolve`] reusing caller scratch.
-    pub fn convolve_with(&self, signal: &[f64], scratch: &mut CorrelationScratch) -> Vec<f64> {
-        assert!(!signal.is_empty(), "convolve needs non-empty inputs");
-        let out_len = signal.len() + self.template.len() - 1;
-        let out = self.correlate_padded(
-            signal.iter().map(|&x| Complex::from_real(x)),
-            signal.len(),
-            false,
-            scratch,
-        );
-        out[..out_len].iter().map(|v| v.re).collect()
-    }
-
     /// Shared core: pad `signal` to the plan size, transform, multiply by
-    /// the cached template spectrum (conjugated for correlation), and
-    /// invert. Returns a borrow of the scratch buffer.
+    /// the conjugated cached template spectrum, and invert. Returns a
+    /// borrow of the scratch buffer.
     fn correlate_padded<'s>(
         &self,
         signal: impl Iterator<Item = Complex>,
         n: usize,
-        conjugate_template: bool,
         scratch: &'s mut CorrelationScratch,
     ) -> &'s [Complex] {
         let size = self.padded_size(n);
@@ -406,12 +337,10 @@ impl MatchedFilterPlan {
         a.extend(signal);
         a.resize(size, Complex::ZERO);
         plan.fft_with(a, &mut scratch.fft);
-        // Identical op order to the unplanned path (`*x *= y.conj()`)
-        // on either SIMD path, so the planned output is bit-identical.
-        if conjugate_template {
-            simd::cmul_conj_in_place(a, &spectrum);
-        } else {
-            simd::cmul_in_place(a, &spectrum);
+        // Identical op order to the unplanned path, so the planned
+        // output is bit-identical.
+        for (x, y) in a.iter_mut().zip(spectrum.iter()) {
+            *x *= y.conj();
         }
         plan.ifft_with(a, &mut scratch.fft);
         a
@@ -521,18 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn convolve_against_naive() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 5.0];
-        let c = convolve(&a, &b);
-        assert_eq!(c.len(), 4);
-        let expect = [4.0, 13.0, 22.0, 15.0];
-        for (x, y) in c.iter().zip(expect.iter()) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn with_plan_variants_match_plain_calls_bitwise() {
         let signal: Vec<f64> = (0..300).map(|i| (i as f64 * 0.11).sin()).collect();
         let template: Vec<f64> = (0..31).map(|i| (i as f64 * 0.61).cos()).collect();
@@ -542,17 +459,13 @@ mod tests {
 
         let mf = matched_filter(&signal, &template);
         let mf_planned = matched_filter_with_plan(&signal, &template, &plan, &mut scratch);
-        assert_eq!(mf.len(), mf_planned.len());
-        for (a, b) in mf.iter().zip(mf_planned.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        // Scratch is dirty now — results must not change.
-        let cv = convolve(&signal, &template);
-        let cv_planned = convolve_with_plan(&signal, &template, &plan, &mut scratch);
-        assert_eq!(cv.len(), cv_planned.len());
-        for (a, b) in cv.iter().zip(cv_planned.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // Scratch is dirty the second time — results must not change.
+        let mf_again = matched_filter_with_plan(&signal, &template, &plan, &mut scratch);
+        for planned in [&mf_planned, &mf_again] {
+            assert_eq!(mf.len(), planned.len());
+            for (a, b) in mf.iter().zip(planned.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 
@@ -618,13 +531,6 @@ mod tests {
                 }
             }
             assert!((mf[k] - acc).abs() < 1e-9, "lag {k}");
-        }
-
-        let cv = plan.convolve(&signal);
-        let expect = convolve(&signal, &template);
-        assert_eq!(cv.len(), expect.len());
-        for (a, b) in cv.iter().zip(expect.iter()) {
-            assert!((a - b).abs() < 1e-9);
         }
     }
 

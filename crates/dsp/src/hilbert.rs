@@ -7,7 +7,6 @@
 
 use crate::complex::Complex;
 use crate::plan::{fft_plan, FftScratch};
-use crate::simd;
 
 /// Computes the analytic signal `x + i·H{x}` of a real signal.
 ///
@@ -51,11 +50,11 @@ pub fn analytic_signal_with(signal: &[f64], scratch: &mut FftScratch) -> Vec<Com
     plan.fft_with(&mut spec, scratch);
     // Single-sided spectrum weighting: DC (and Nyquist for even n) stay
     // unscaled, positive frequencies double, negative frequencies zero.
-    // Expressed as two contiguous ranges so the scale runs on the SIMD
-    // kernel; bit-identical to the per-bin branch it replaces.
     let half = n / 2;
     let dbl_end = if n.is_multiple_of(2) { half } else { half + 1 };
-    simd::scale_in_place(&mut spec[1..dbl_end], 2.0);
+    for x in &mut spec[1..dbl_end] {
+        *x *= 2.0;
+    }
     spec[half + 1..].fill(Complex::ZERO);
     plan.ifft_with(&mut spec, scratch);
     spec
@@ -87,7 +86,9 @@ pub fn analytic_signal_padded_with(signal: &[f64], scratch: &mut FftScratch) -> 
     spec.resize(size, Complex::ZERO);
     plan.fft_with(&mut spec, scratch);
     let half = size / 2;
-    simd::scale_in_place(&mut spec[1..half], 2.0);
+    for x in &mut spec[1..half] {
+        *x *= 2.0;
+    }
     spec[half + 1..].fill(Complex::ZERO);
     plan.ifft_with(&mut spec, scratch);
     spec.truncate(n);

@@ -51,6 +51,7 @@ pub mod hilbert;
 pub mod interp;
 pub mod peaks;
 pub mod plan;
+#[allow(unsafe_code)] // the AVX2 kernels; see the module's Safety section
 pub mod simd;
 pub mod slot_cache;
 pub mod stats;

@@ -3,13 +3,6 @@
 //! The paper builds a `MaxSet` of points `{τ_w, E(τ_w)}` where `E(τ_w)` is
 //! (a) strictly greater than every neighbour within ±d samples and (b)
 //! above a threshold `th`. [`find_peaks`] implements exactly that.
-//!
-//! Inputs are assumed NaN-free (envelopes and magnitudes are by
-//! construction): the neighbourhood dominance checks run on the SIMD
-//! max kernel, whose NaN behaviour differs from a scalar comparison
-//! chain (see `crate::simd`).
-
-use crate::simd;
 
 /// A detected local maximum.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +33,6 @@ pub struct Peak {
 pub fn find_peaks(signal: &[f64], min_distance: usize, threshold: f64) -> Vec<Peak> {
     let n = signal.len();
     let d = min_distance.max(1);
-    let path = simd::active();
     let mut peaks = Vec::new();
     for i in 0..n {
         let v = signal[i];
@@ -50,12 +42,11 @@ pub fn find_peaks(signal: &[f64], min_distance: usize, threshold: f64) -> Vec<Pe
         let lo = i.saturating_sub(d);
         let hi = (i + d + 1).min(n);
         // Strictly dominate earlier samples ties included; later samples
-        // must be strictly smaller-or-equal (first-of-plateau rule).
-        // Both checks reduce to window maxima (empty windows give −∞),
-        // equivalent to the element-wise scan for NaN-free input.
-        if simd::max_f64_with(path, &signal[lo..i]) < v
-            && simd::max_f64_with(path, &signal[i + 1..hi]) <= v
-        {
+        // must be smaller-or-equal (first-of-plateau rule). Each scan
+        // stops at the first sample that disqualifies `i`; the nearest
+        // neighbours are the likeliest to, so the earlier side runs
+        // backwards.
+        if signal[lo..i].iter().rev().all(|&x| x < v) && signal[i + 1..hi].iter().all(|&x| x <= v) {
             peaks.push(Peak { index: i, value: v });
         }
     }

@@ -1,5 +1,5 @@
-//! Runtime-dispatched SIMD microkernels for the distance, imaging and FFT
-//! hot paths.
+//! Runtime-dispatched SIMD microkernels for the FFT, band-pass, CNN and
+//! template-store hot paths.
 //!
 //! Every kernel here exists in two implementations — a portable scalar
 //! loop and an AVX2 (`f64x4`) variant — selected **once per process**
@@ -11,15 +11,22 @@
 //! * `avx2`: request AVX2; silently falls back to scalar when the CPU
 //!   lacks it (the scalar fallback is mandatory, never an error).
 //!
+//! Only kernels that a workload pays for live here: the radix-2 stages,
+//! the band-pass lanes, the GEMM tiles and the store's `f32` distance.
+//! Element-wise passes — spectrum products, scaling, envelope
+//! accumulation, maxima — are plain loops at their call sites: their
+//! AVX2 kernels saved a few microseconds per beep train (DESIGN.md
+//! §10).
+//!
 //! # Exactness contract
 //!
 //! The AVX2 kernels are deliberately written to preserve the scalar
 //! per-element operation order bit-for-bit: they vectorise *across*
 //! elements, never reassociate *within* one, and use no FMA (separate
 //! `mul`/`add` intrinsics round exactly like the scalar `*` and `+`).
-//! The only algebraic licences taken are addition commutativity
-//! (`a*d + b*c` vs `b*c + a*d` in the complex product) and
-//! `x − (−y) ≡ x + y`, both of which are IEEE-754 rounding-exact.
+//! The only algebraic licence taken is addition commutativity
+//! (`a*d + b*c` vs `b*c + a*d` in the complex product), which is
+//! IEEE-754 rounding-exact.
 //! The "elements" may be whole channels — [`sos_filtfilt`] gives each
 //! lane one channel's serial cascade — and a kernel may reorder work
 //! that does not depend on itself — [`radix2_stages_with`] fuses and
@@ -31,14 +38,6 @@
 //! (`simd_kernel_properties`) pins each kernel's bound at **0 ULP**
 //! today and is the harness that would absorb a future kernel that
 //! genuinely reassociates.
-//!
-//! # NaN caveat
-//!
-//! [`max_f64`] (and the peak-picking rewritten on top of it) assumes
-//! NaN-free input: `_mm256_max_pd` propagates operands differently from
-//! `f64::max` when NaNs are present. Every caller in this workspace
-//! feeds it envelopes/magnitudes, which are finite by construction.
-//! Ties between `+0.0` and `−0.0` may resolve to either sign.
 //!
 //! # Safety
 //!
@@ -200,8 +199,7 @@ fn record_dispatch_for(path: SimdPath) {
 // Each kernel is exported twice: `foo` dispatches on the process-wide
 // [`active`] path; `foo_with` takes the path explicitly so tests (and
 // the property suite) can pin scalar vs AVX2 side by side in one
-// process. All wrappers clamp to the shortest operand so their
-// semantics match the `Iterator::zip` loops they replace.
+// process.
 
 macro_rules! dispatch {
     ($path:expr, $scalar:expr, $avx2:expr) => {
@@ -284,91 +282,6 @@ pub fn sos_filtfilt_with(path: SimdPath, sections: &[Biquad], channels: &mut [Ve
     );
 }
 
-/// Pointwise complex product `a[i] *= b[i]`.
-#[inline]
-pub fn cmul_in_place(a: &mut [Complex], b: &[Complex]) {
-    cmul_in_place_with(active(), a, b);
-}
-
-/// [`cmul_in_place`] on an explicit path.
-#[inline]
-pub fn cmul_in_place_with(path: SimdPath, a: &mut [Complex], b: &[Complex]) {
-    dispatch!(path, scalar::cmul_in_place(a, b), avx2::cmul_in_place(a, b));
-}
-
-/// Pointwise conjugated product `a[i] *= conj(b[i])` — the matched
-/// filter's cross-correlation multiply.
-#[inline]
-pub fn cmul_conj_in_place(a: &mut [Complex], b: &[Complex]) {
-    cmul_conj_in_place_with(active(), a, b);
-}
-
-/// [`cmul_conj_in_place`] on an explicit path.
-#[inline]
-pub fn cmul_conj_in_place_with(path: SimdPath, a: &mut [Complex], b: &[Complex]) {
-    dispatch!(
-        path,
-        scalar::cmul_conj_in_place(a, b),
-        avx2::cmul_conj_in_place(a, b)
-    );
-}
-
-/// Pointwise product into a separate output: `out[i] = a[i]·b[i]`.
-#[inline]
-pub fn cmul_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
-    cmul_into_with(active(), out, a, b);
-}
-
-/// [`cmul_into`] on an explicit path.
-#[inline]
-pub fn cmul_into_with(path: SimdPath, out: &mut [Complex], a: &[Complex], b: &[Complex]) {
-    dispatch!(
-        path,
-        scalar::cmul_into(out, a, b),
-        avx2::cmul_into(out, a, b)
-    );
-}
-
-/// Scaled pointwise product: `out[i] = (a[i]·b[i])·scale` with the
-/// scalar's rounding order (complex product first, then the real
-/// scale applied to each component).
-#[inline]
-pub fn cmul_scale_into(out: &mut [Complex], a: &[Complex], b: &[Complex], scale: f64) {
-    cmul_scale_into_with(active(), out, a, b, scale);
-}
-
-/// [`cmul_scale_into`] on an explicit path.
-#[inline]
-pub fn cmul_scale_into_with(
-    path: SimdPath,
-    out: &mut [Complex],
-    a: &[Complex],
-    b: &[Complex],
-    scale: f64,
-) {
-    dispatch!(
-        path,
-        scalar::cmul_scale_into(out, a, b, scale),
-        avx2::cmul_scale_into(out, a, b, scale)
-    );
-}
-
-/// Scales every element by a real factor: `a[i] *= k`.
-#[inline]
-pub fn scale_in_place(a: &mut [Complex], k: f64) {
-    scale_in_place_with(active(), a, k);
-}
-
-/// [`scale_in_place`] on an explicit path.
-#[inline]
-pub fn scale_in_place_with(path: SimdPath, a: &mut [Complex], k: f64) {
-    dispatch!(
-        path,
-        scalar::scale_in_place(a, k),
-        avx2::scale_in_place(a, k)
-    );
-}
-
 /// Register-tiled GEMM inner tile, one output channel: for every `k`,
 /// `acc[i] += w[k] · col[k·stride + offset + i]`.
 ///
@@ -443,34 +356,6 @@ pub fn gemm_tile2_with(
         scalar::gemm_tile2(acc0, acc1, w0, w1, col, stride, offset),
         avx2::gemm_tile2(acc0, acc1, w0, w1, col, stride, offset)
     );
-}
-
-/// Envelope accumulation `acc[i] += |z[i]|²`.
-#[inline]
-pub fn accum_norm_sqr(acc: &mut [f64], z: &[Complex]) {
-    accum_norm_sqr_with(active(), acc, z);
-}
-
-/// [`accum_norm_sqr`] on an explicit path.
-#[inline]
-pub fn accum_norm_sqr_with(path: SimdPath, acc: &mut [f64], z: &[Complex]) {
-    dispatch!(
-        path,
-        scalar::accum_norm_sqr(acc, z),
-        avx2::accum_norm_sqr(acc, z)
-    );
-}
-
-/// Maximum of a NaN-free slice (`−∞` when empty).
-#[inline]
-pub fn max_f64(xs: &[f64]) -> f64 {
-    max_f64_with(active(), xs)
-}
-
-/// [`max_f64`] on an explicit path.
-#[inline]
-pub fn max_f64_with(path: SimdPath, xs: &[f64]) -> f64 {
-    dispatch!(path, scalar::max_f64(xs), avx2::max_f64(xs))
 }
 
 /// Squared Euclidean distance `Σ (a[i] − b[i])²` over `f32` operands —
@@ -567,41 +452,6 @@ mod scalar {
     }
 
     #[inline]
-    pub fn cmul_in_place(a: &mut [Complex], b: &[Complex]) {
-        for (x, &y) in a.iter_mut().zip(b.iter()) {
-            *x *= y;
-        }
-    }
-
-    #[inline]
-    pub fn cmul_conj_in_place(a: &mut [Complex], b: &[Complex]) {
-        for (x, &y) in a.iter_mut().zip(b.iter()) {
-            *x *= y.conj();
-        }
-    }
-
-    #[inline]
-    pub fn cmul_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-            *o = x * y;
-        }
-    }
-
-    #[inline]
-    pub fn cmul_scale_into(out: &mut [Complex], a: &[Complex], b: &[Complex], scale: f64) {
-        for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-            *o = x * y * scale;
-        }
-    }
-
-    #[inline]
-    pub fn scale_in_place(a: &mut [Complex], k: f64) {
-        for x in a.iter_mut() {
-            *x *= k;
-        }
-    }
-
-    #[inline]
     pub fn gemm_tile(acc: &mut [f64], w: &[f64], col: &[f64], stride: usize, offset: usize) {
         let xb = acc.len();
         for (k, &wk) in w.iter().enumerate() {
@@ -631,18 +481,6 @@ mod scalar {
                 acc1[i] += w1[k] * s;
             }
         }
-    }
-
-    #[inline]
-    pub fn accum_norm_sqr(acc: &mut [f64], z: &[Complex]) {
-        for (a, c) in acc.iter_mut().zip(z.iter()) {
-            *a += c.norm_sqr();
-        }
-    }
-
-    #[inline]
-    pub fn max_f64(xs: &[f64]) -> f64 {
-        xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Lane-strided squared distance; mirrors the AVX2 reduction order
@@ -706,28 +544,6 @@ mod avx2 {
         let t1 = _mm256_mul_pd(a, b_re); // [a.re·b.re, a.im·b.re]
         let t2 = _mm256_mul_pd(a_swap, b_im); // [a.im·b.im, a.re·b.im]
         _mm256_addsub_pd(t1, t2) // [t1 − t2, t1 + t2]
-    }
-
-    /// Conjugated complex product `a · conj(b)` matching the scalar
-    /// `*x * y.conj()` rounding exactly: negating `t2` is sign-flip
-    /// exact, and `addsub(t1, −t2)` yields even `t1 + t2`
-    /// (= `a.re·b.re + a.im·b.im`, the scalar's
-    /// `a.re·b.re − a.im·(−b.im)`) and odd `t1 − t2`
-    /// (= `a.im·b.re − a.re·b.im`).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn cmul_conj_pd(a: __m256d, b: __m256d) -> __m256d {
-        let b_re = _mm256_movedup_pd(b);
-        let b_im = _mm256_permute_pd(b, 0b1111);
-        let a_swap = _mm256_permute_pd(a, 0b0101);
-        let t1 = _mm256_mul_pd(a, b_re);
-        let t2 = _mm256_mul_pd(a_swap, b_im);
-        let neg_t2 = _mm256_xor_pd(t2, _mm256_set1_pd(-0.0));
-        _mm256_addsub_pd(t1, neg_t2)
     }
 
     /// # Safety
@@ -978,119 +794,6 @@ mod avx2 {
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul_in_place(a: &mut [Complex], b: &[Complex]) {
-        let n = a.len().min(b.len());
-        let head = n - n % CPL;
-        let ap = a.as_mut_ptr().cast::<f64>();
-        let bp = b.as_ptr().cast::<f64>();
-        let mut i = 0;
-        while i < 2 * head {
-            // SAFETY: in bounds as in `butterfly_pass`.
-            unsafe {
-                let x = _mm256_loadu_pd(ap.add(i));
-                let y = _mm256_loadu_pd(bp.add(i));
-                _mm256_storeu_pd(ap.add(i), cmul_pd(x, y));
-            }
-            i += 2 * CPL;
-        }
-        scalar::cmul_in_place(&mut a[head..n], &b[head..n]);
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul_conj_in_place(a: &mut [Complex], b: &[Complex]) {
-        let n = a.len().min(b.len());
-        let head = n - n % CPL;
-        let ap = a.as_mut_ptr().cast::<f64>();
-        let bp = b.as_ptr().cast::<f64>();
-        let mut i = 0;
-        while i < 2 * head {
-            // SAFETY: in bounds as in `butterfly_pass`.
-            unsafe {
-                let x = _mm256_loadu_pd(ap.add(i));
-                let y = _mm256_loadu_pd(bp.add(i));
-                _mm256_storeu_pd(ap.add(i), cmul_conj_pd(x, y));
-            }
-            i += 2 * CPL;
-        }
-        scalar::cmul_conj_in_place(&mut a[head..n], &b[head..n]);
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2. `out` must not alias `a` or `b` (guaranteed by
-    /// the wrapper's `&mut`/`&` borrows).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
-        let n = out.len().min(a.len()).min(b.len());
-        let head = n - n % CPL;
-        let op = out.as_mut_ptr().cast::<f64>();
-        let ap = a.as_ptr().cast::<f64>();
-        let bp = b.as_ptr().cast::<f64>();
-        let mut i = 0;
-        while i < 2 * head {
-            // SAFETY: in bounds as in `butterfly_pass`.
-            unsafe {
-                let x = _mm256_loadu_pd(ap.add(i));
-                let y = _mm256_loadu_pd(bp.add(i));
-                _mm256_storeu_pd(op.add(i), cmul_pd(x, y));
-            }
-            i += 2 * CPL;
-        }
-        scalar::cmul_into(&mut out[head..n], &a[head..n], &b[head..n]);
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2. `out` must not alias `a` or `b`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul_scale_into(out: &mut [Complex], a: &[Complex], b: &[Complex], scale: f64) {
-        let n = out.len().min(a.len()).min(b.len());
-        let head = n - n % CPL;
-        let op = out.as_mut_ptr().cast::<f64>();
-        let ap = a.as_ptr().cast::<f64>();
-        let bp = b.as_ptr().cast::<f64>();
-        let k = _mm256_set1_pd(scale);
-        let mut i = 0;
-        while i < 2 * head {
-            // SAFETY: in bounds as in `butterfly_pass`.
-            unsafe {
-                let x = _mm256_loadu_pd(ap.add(i));
-                let y = _mm256_loadu_pd(bp.add(i));
-                _mm256_storeu_pd(op.add(i), _mm256_mul_pd(cmul_pd(x, y), k));
-            }
-            i += 2 * CPL;
-        }
-        scalar::cmul_scale_into(&mut out[head..n], &a[head..n], &b[head..n], scale);
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_in_place(a: &mut [Complex], k: f64) {
-        let n = a.len();
-        let head = n - n % CPL;
-        let ap = a.as_mut_ptr().cast::<f64>();
-        let kv = _mm256_set1_pd(k);
-        let mut i = 0;
-        while i < 2 * head {
-            // SAFETY: in bounds as in `butterfly_pass`.
-            unsafe {
-                let x = _mm256_loadu_pd(ap.add(i));
-                _mm256_storeu_pd(ap.add(i), _mm256_mul_pd(x, kv));
-            }
-            i += 2 * CPL;
-        }
-        scalar::scale_in_place(&mut a[head..n], k);
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_tile(acc: &mut [f64], w: &[f64], col: &[f64], stride: usize, offset: usize) {
         let xb = acc.len();
         let k_rows = w.len();
@@ -1210,36 +913,6 @@ mod avx2 {
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn accum_norm_sqr(acc: &mut [f64], z: &[Complex]) {
-        let n = acc.len().min(z.len());
-        let head = n - n % FPL;
-        let zp = z.as_ptr().cast::<f64>();
-        let mut i = 0;
-        while i < head {
-            // SAFETY: `acc[i..i+4]` and `z[i..i+4]` (8 f64) are in
-            // bounds because `i + 3 < head ≤ n`.
-            unsafe {
-                let z0 = _mm256_loadu_pd(zp.add(2 * i)); // z[i],   z[i+1]
-                let z1 = _mm256_loadu_pd(zp.add(2 * i + 4)); // z[i+2], z[i+3]
-                let s0 = _mm256_mul_pd(z0, z0);
-                let s1 = _mm256_mul_pd(z1, z1);
-                // hadd: [n_i, n_{i+2}, n_{i+1}, n_{i+3}]; re-order the
-                // middle pair back to ascending index. Each lane's
-                // re² + im² matches the scalar `norm_sqr` ordering.
-                let h = _mm256_hadd_pd(s0, s1);
-                let norms = _mm256_permute4x64_pd(h, 0b11011000);
-                let a = _mm256_loadu_pd(acc.as_ptr().add(i));
-                _mm256_storeu_pd(acc.as_mut_ptr().add(i), _mm256_add_pd(a, norms));
-            }
-            i += FPL;
-        }
-        scalar::accum_norm_sqr(&mut acc[head..n], &z[head..n]);
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
     pub unsafe fn sqdist_f32(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let head = n - n % 8;
@@ -1267,30 +940,6 @@ mod avx2 {
             sum += d * d;
         }
         sum
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2. Input must be NaN-free (see module docs).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn max_f64(xs: &[f64]) -> f64 {
-        let n = xs.len();
-        let head = n - n % FPL;
-        let mut m = _mm256_set1_pd(f64::NEG_INFINITY);
-        let mut i = 0;
-        while i < head {
-            // SAFETY: `i + 3 < head ≤ n` stays in bounds.
-            unsafe {
-                m = _mm256_max_pd(m, _mm256_loadu_pd(xs.as_ptr().add(i)));
-            }
-            i += FPL;
-        }
-        let lo = _mm256_castpd256_pd128(m);
-        let hi = _mm256_extractf128_pd(m, 1);
-        let pair = _mm_max_pd(lo, hi);
-        let swapped = _mm_unpackhi_pd(pair, pair);
-        let best = _mm_cvtsd_f64(_mm_max_sd(pair, swapped));
-        best.max(scalar::max_f64(&xs[head..n]))
     }
 }
 
@@ -1441,56 +1090,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_cmul_kernels_match_complex_ops() {
-        for path in paths() {
-            for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 31] {
-                let a = cvec(n, 11);
-                let b = cvec(n, 23);
-                let mut ip = a.clone();
-                cmul_in_place_with(path, &mut ip, &b);
-                let mut conj = a.clone();
-                cmul_conj_in_place_with(path, &mut conj, &b);
-                let mut into = vec![Complex::ZERO; n];
-                cmul_into_with(path, &mut into, &a, &b);
-                let mut scaled = vec![Complex::ZERO; n];
-                cmul_scale_into_with(path, &mut scaled, &a, &b, 0.125);
-                for i in 0..n {
-                    assert_eq!(ip[i], a[i] * b[i], "cmul_in_place[{i}] on {path:?}");
-                    assert_eq!(conj[i], a[i] * b[i].conj(), "cmul_conj[{i}] on {path:?}");
-                    assert_eq!(into[i], a[i] * b[i], "cmul_into[{i}] on {path:?}");
-                    assert_eq!(
-                        scaled[i],
-                        a[i] * b[i] * 0.125,
-                        "cmul_scale[{i}] on {path:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scalar_scale_and_norms() {
-        for path in paths() {
-            for n in [0usize, 1, 3, 4, 6, 8, 13] {
-                let mut a = cvec(n, 5);
-                let orig = a.clone();
-                scale_in_place_with(path, &mut a, -1.5);
-                for i in 0..n {
-                    assert_eq!(a[i], orig[i] * -1.5);
-                }
-
-                let z = cvec(n, 19);
-                let mut env = fvec(n, 21);
-                let envb = env.clone();
-                accum_norm_sqr_with(path, &mut env, &z);
-                for i in 0..n {
-                    assert_eq!(env[i], envb[i] + z[i].norm_sqr());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gemm_tile_kernels_match_naive_loop() {
         for path in paths() {
             // Tile widths straddling the 8-wide vector block, strides
@@ -1577,27 +1176,6 @@ mod tests {
             sqdist_f32(&a32, &b32).to_bits(),
             sqdist_f32(&a32[..5], &b32).to_bits()
         );
-    }
-
-    #[test]
-    fn scalar_max_matches_fold() {
-        for path in paths() {
-            assert_eq!(max_f64_with(path, &[]), f64::NEG_INFINITY);
-            for n in [1usize, 2, 3, 4, 5, 8, 11, 64] {
-                let xs = fvec(n, 3 + n as u64);
-                let want = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(max_f64_with(path, &xs), want, "n={n} on {path:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn scalar_kernels_clamp_to_shortest_operand() {
-        let mut a = cvec(4, 31);
-        let b = cvec(2, 37);
-        let tail = a[2..].to_vec();
-        cmul_in_place(&mut a, &b);
-        assert_eq!(&a[2..], &tail[..], "elements past min length untouched");
     }
 
     // ── dispatch machinery ──

@@ -7,7 +7,7 @@
 //! lengths alike. The correlation fast paths are pinned against naive
 //! time-domain sums.
 
-use echo_dsp::correlate::{convolve, matched_filter, matched_filter_complex, MatchedFilterPlan};
+use echo_dsp::correlate::{matched_filter, matched_filter_complex, MatchedFilterPlan};
 use echo_dsp::fft::{fft, ifft};
 use echo_dsp::plan::{fft_plan, FftPlan, FftScratch};
 use echo_dsp::simd::{self, SimdPath};
@@ -126,27 +126,6 @@ proptest! {
                 }
             }
             prop_assert!((got - acc).abs() < 1e-9 * scale, "lag {}: {} vs {}", k, got, acc);
-        }
-    }
-
-    fn packed_real_convolve_matches_naive(
-        sig_len in 1usize..120,
-        ker_len in 1usize..40,
-        seed in 0u64..1_000,
-    ) {
-        let sig = real_signal(seed, sig_len);
-        let ker = real_signal(seed ^ 0x1234, ker_len);
-        let fast = convolve(&sig, &ker);
-        prop_assert_eq!(fast.len(), sig_len + ker_len - 1);
-        let scale = ker.iter().map(|v| v.abs()).sum::<f64>().max(1.0);
-        for (k, got) in fast.iter().enumerate() {
-            let mut acc = 0.0;
-            for (i, &h) in ker.iter().enumerate() {
-                if k >= i && k - i < sig_len {
-                    acc += sig[k - i] * h;
-                }
-            }
-            prop_assert!((got - acc).abs() < 1e-9 * scale, "index {}: {} vs {}", k, got, acc);
         }
     }
 

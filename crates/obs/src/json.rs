@@ -33,17 +33,20 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (surrounding whitespace
-    /// allowed). Accepts the full JSON grammar, including `\u` escapes
-    /// of surrogate pairs; a float literal too large for `f64` (`1e999`)
-    /// becomes infinity like `f64::from_str` does, and an integer
-    /// literal too large for `i128` parses as a float. Time is linear
-    /// in the document's length.
+    /// allowed). Accepts exactly the JSON grammar, including `\u`
+    /// escapes of surrogate pairs; an integer literal too large for
+    /// `i128` parses as a float. Time is linear in the document's
+    /// length.
     ///
     /// # Errors
     ///
-    /// A message naming the byte offset of the first malformed token.
-    /// Arrays and objects nested more than 128 levels deep are an error
-    /// too, so hostile input cannot overflow the stack.
+    /// A message naming the byte offset of the first malformed token:
+    /// among others a number with a leading zero (`01`), a bare `.`
+    /// (`1.`, `-.5`) or a `+` sign, a raw control character inside a
+    /// string, and a number beyond the finite `f64` range (`1e999`),
+    /// which [`Json::to_pretty`] could not write back. Arrays and
+    /// objects nested more than 128 levels deep are an error too, so
+    /// hostile input cannot overflow the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             text,
@@ -426,12 +429,19 @@ impl Parser<'_> {
                         }
                     }
                 }
+                Some(..0x20) => {
+                    return Err(format!(
+                        "unescaped control character in string at byte {}",
+                        self.pos
+                    ));
+                }
                 Some(_) => {
-                    // Copy the plain run up to the next quote or escape.
-                    // Both are ASCII, so the run is whole chars.
+                    // Copy the plain run up to the next quote, escape or
+                    // control character. All are ASCII, so the run is
+                    // whole chars.
                     let end = self.bytes[self.pos..]
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .map_or(self.bytes.len(), |n| self.pos + n);
                     out.push_str(&self.text[self.pos..end]);
                     self.pos = end;
@@ -480,20 +490,58 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`, as an
+    /// `Int` when it has no fraction or exponent and `i128` holds it,
+    /// else as a finite `Float`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int_start = self.pos;
+        if self.digits() == 0 {
+            return Err(format!("expected a digit at byte {}", self.pos));
+        }
+        if self.bytes[int_start] == b'0' && self.pos > int_start + 1 {
+            return Err(format!("leading zero in number at byte {int_start}"));
+        }
+        let mut integral = true;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            integral = false;
+            if self.digits() == 0 {
+                return Err(format!("expected a fraction digit at byte {}", self.pos));
+            }
+        }
+        if let Some(b'e' | b'E') = self.peek() {
+            self.pos += 1;
+            integral = false;
+            if let Some(b'+' | b'-') = self.peek() {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(format!("expected an exponent digit at byte {}", self.pos));
+            }
+        }
         let text = &self.text[start..self.pos];
-        if !text.contains(['.', 'e', 'E']) {
+        if integral {
             if let Ok(n) = text.parse::<i128>() {
                 return Ok(Json::Int(n));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|e| format!("bad number `{text}` at byte {start}: {e}"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Float(v)),
+            _ => Err(format!("number `{text}` out of range at byte {start}")),
+        }
+    }
+
+    /// Steps over a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -645,6 +693,88 @@ mod tests {
     fn rejects_malformed_documents() {
         for doc in ["{", r#"{"a": }"#, "[1,]", r#""unterminated"#, "1 2", "tru"] {
             assert!(Json::parse(doc).is_err(), "accepted {doc:?}");
+        }
+    }
+
+    /// The byte offset an error message names.
+    fn error_offset(doc: &str) -> usize {
+        let err = Json::parse(doc).unwrap_err();
+        let at = err
+            .rfind("at byte ")
+            .unwrap_or_else(|| panic!("{doc:?}: {err}"));
+        err[at + "at byte ".len()..].parse().unwrap()
+    }
+
+    #[test]
+    fn leading_zeros_are_errors() {
+        assert_eq!(error_offset("01"), 0);
+        assert_eq!(error_offset("-01"), 1);
+        assert_eq!(error_offset("[1, 007]"), 4);
+    }
+
+    #[test]
+    fn a_plus_sign_is_an_error() {
+        assert_eq!(error_offset("+1"), 0);
+        assert_eq!(error_offset("[+1]"), 1);
+        // A `+` is only ever an exponent's sign.
+        assert_eq!(Json::parse("1e+2").unwrap(), Json::Float(100.0));
+    }
+
+    #[test]
+    fn a_point_needs_digits_on_both_sides() {
+        assert_eq!(error_offset("1."), 2);
+        assert_eq!(error_offset("-.5"), 1);
+        assert_eq!(error_offset("1.e3"), 2);
+        assert_eq!(error_offset("[1.]"), 3);
+        assert_eq!(error_offset("1e"), 2);
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_errors() {
+        for c in ['\u{0}', '\n', '\t', '\u{1f}'] {
+            assert_eq!(error_offset(&format!("\"a{c}b\"")), 2, "{c:?}");
+        }
+        assert_eq!(error_offset("{\"k\u{7}\": 1}"), 3);
+        // Escaped, the same characters parse, and DEL is not a control
+        // character in JSON.
+        assert_eq!(
+            Json::parse(r#""a\u0000b\n\t""#).unwrap(),
+            Json::Str("a\u{0}b\n\t".into())
+        );
+        assert_eq!(
+            Json::parse("\"\u{7f}\"").unwrap(),
+            Json::Str("\u{7f}".into())
+        );
+    }
+
+    #[test]
+    fn numbers_beyond_the_finite_range_are_errors() {
+        assert_eq!(error_offset("1e999"), 0);
+        assert_eq!(error_offset("[0, -1e999]"), 4);
+        let huge_int = "9".repeat(400);
+        assert_eq!(error_offset(&huge_int), 0);
+        // Underflow rounds to zero, and an integer past `i128` is a float.
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Float(0.0));
+        assert_eq!(
+            Json::parse(&"9".repeat(40)).unwrap(),
+            Json::Float(1e40 - 1.0)
+        );
+    }
+
+    #[test]
+    fn strict_numbers_still_parse() {
+        for (doc, want) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            ("-120", Json::Int(-120)),
+            ("0.5", Json::Float(0.5)),
+            ("-0.0", Json::Float(-0.0)),
+            ("1E3", Json::Float(1000.0)),
+            ("2.5e-3", Json::Float(0.0025)),
+            ("0e0", Json::Float(0.0)),
+        ] {
+            assert_eq!(Json::parse(doc).unwrap(), want, "{doc}");
         }
     }
 

@@ -70,6 +70,7 @@ pub mod stats;
 pub mod tenant;
 
 mod batcher;
+#[allow(unsafe_code)] // the `poll(2)` wrapper
 mod poll;
 
 pub use client::{Client, ClientError};

@@ -15,7 +15,7 @@
 //! per-stage latency breakdown plus cache hit rates. A fourth runs the
 //! `echo-serve` daemon in-process under a fixed load and records the
 //! micro-batched end-to-end p99 (`serve.p99_ns`, also gated). A fifth
-//! builds a 65k-user synthetic template shard and records the mmap
+//! builds a 65k-user synthetic template shard, opens it and records the
 //! candidate-lookup p99 (`store.lookup_p99_ns`, also gated) — the
 //! million-user version lives in `store_bench`.
 //!
@@ -460,7 +460,7 @@ fn main() {
     sink += cand_total as f64;
     let _ = std::fs::remove_dir_all(&store_dir);
     println!(
-        "\ntemplate store ({store_users} users, mmap shard, \
+        "\ntemplate store ({store_users} users, one shard, \
          {store_probes} top-16 lookups × {store_reps} reps):"
     );
     println!(

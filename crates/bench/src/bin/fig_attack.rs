@@ -4,7 +4,8 @@
 //!
 //! Exit status is the CI spoof gate: `--asr-ceiling <rate>` makes the
 //! run fail (exit 1) when the population replay attack-success-rate at
-//! the deployed spread ceiling exceeds `<rate>`.
+//! the deployed spread ceiling exceeds `<rate>`. A `<rate>` that is not
+//! a number in [0, 1] (`0.0x`, `NaN`, `2`) exits 2 before the run.
 
 use echo_bench::{artefact_note, banner_with_flags, flag_value, quick_mode, run_or_exit};
 use echo_eval::experiments::fig_attack;
@@ -91,6 +92,7 @@ fn main() {
         Err(e) => eprintln!("could not write artefact: {e}"),
     }
 
+    // `banner_with_flags` refused every value that is not a rate.
     let gate = flag_value("--asr-ceiling").and_then(|v| v.parse::<f64>().ok());
     echo_bench::finish_metrics();
     if let Some(ceiling) = gate {

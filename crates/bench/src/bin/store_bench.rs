@@ -2,19 +2,20 @@
 //!
 //! Two modes:
 //!
-//! * **Full** (default): builds a **1,000,000-user** shard, mmaps it,
+//! * **Full** (default): builds a **1,000,000-user** shard, opens it,
 //!   and measures top-16 candidate-lookup latency (asserting the
 //!   sub-millisecond p99 the store was designed for), then runs a
 //!   10,000-user parity suite proving the prefiltered decision path
 //!   bit-identical to the exhaustive oracle on both the in-memory and
-//!   the mmap backend.
+//!   the shard backend.
 //! * **`--quick`** (the CI smoke): a **100,000-user** store exercised
 //!   end to end — shards written and reopened, a second shard
 //!   re-enrolling one user published mid-run through a [`StoreHandle`]
 //!   from another thread while the main thread keeps identifying, and
 //!   every decision checked against the exhaustive oracle on the same
 //!   loaded snapshot. Also pins newest-shard-wins semantics and
-//!   mmap/heap reader agreement.
+//!   bit-identical margins between the shard store and an in-memory
+//!   store of the same population.
 //!
 //! Populations come from [`echo_bench::storegen`]: hash-generated
 //! single-gate users whose margins decrease strictly with centroid
@@ -24,7 +25,7 @@
 
 use echo_bench::{banner, quick_mode, run_or_exit, storegen};
 use echoimage_core::store::{
-    identify, IdentifyConfig, MemoryStore, ReaderMode, Shard, ShardStore, ShardWriter, StoreHandle,
+    identify, IdentifyConfig, MemoryStore, Shard, ShardStore, ShardWriter, StoreHandle,
     TemplateStore,
 };
 use echoimage_core::AuthDecision;
@@ -83,7 +84,7 @@ fn run_full(dir: &std::path::Path) {
     let open_ms = t0.elapsed().as_millis();
     check(store.user_count() == n, "user count after reopen");
     println!(
-        "  shard {:.0} MB written in {build_s:.1} s, mmap-opened in {open_ms} ms",
+        "  shard {:.0} MB written in {build_s:.1} s, opened in {open_ms} ms",
         bytes as f64 / 1e6
     );
 
@@ -116,7 +117,7 @@ fn run_full(dir: &std::path::Path) {
     check(p99 < 1_000_000, "candidate lookup p99 ≥ 1 ms at 1M users");
 
     // Decision parity at 10k users: prefiltered vs exhaustive on the
-    // mmap backend and the in-memory reference, all four bit-identical.
+    // shard backend and the in-memory reference, all four bit-identical.
     let pn = 10_000usize;
     let mem = run_or_exit(
         MemoryStore::from_templates(&storegen::scaler(), storegen::population(pn)),
@@ -128,16 +129,16 @@ fn run_full(dir: &std::path::Path) {
         "parity dir",
     );
     write_population_shard(&pdir, pn, "shard-000000.echoshard");
-    let mapped = run_or_exit(ShardStore::open_dir(&pdir), "open parity shard");
+    let sharded = run_or_exit(ShardStore::open_dir(&pdir), "open parity shard");
     let trains = 1_000u64;
     for i in 0..trains {
         let user = storegen::splitmix(0xFACE ^ i) % pn as u64;
         let train = storegen::probe_train(user, 77_000 + i * 8, 3);
         let (fast_mem, slow_mem) = both_paths(&mem, &train);
-        let (fast_map, slow_map) = both_paths(&mapped, &train);
+        let (fast_shard, slow_shard) = both_paths(&sharded, &train);
         check(fast_mem == slow_mem, "memory prefilter != memory oracle");
-        check(fast_map == slow_map, "mmap prefilter != mmap oracle");
-        check(fast_mem == fast_map, "memory != mmap decision");
+        check(fast_shard == slow_shard, "shard prefilter != shard oracle");
+        check(fast_mem == fast_shard, "memory != shard decision");
         check(
             fast_mem
                 == (AuthDecision::Accepted {
@@ -146,7 +147,7 @@ fn run_full(dir: &std::path::Path) {
             "parity probe not identified as its owner",
         );
     }
-    println!("  parity: {trains} probe trains × (prefilter|oracle) × (memory|mmap) all agree");
+    println!("  parity: {trains} probe trains × (prefilter|oracle) × (memory|shard) all agree");
 }
 
 /// Quick mode: the 100k-user CI smoke with a mid-run snapshot reload.
@@ -173,22 +174,23 @@ fn run_quick(dir: &std::path::Path) {
     let base = run_or_exit(ShardStore::from_shards(vec![base_shard]), "base store");
     check(base.user_count() == n, "user count after reopen");
 
-    // mmap and heap readers agree margin-for-margin (bit-compare).
-    let heap_shard = run_or_exit(
-        Shard::open_with(&base_path, ReaderMode::Heap),
-        "heap reader open",
+    // The shard store and an in-memory store of the same population
+    // agree margin-for-margin (bit-compare).
+    let memory = run_or_exit(
+        MemoryStore::from_templates(&storegen::scaler(), storegen::population(n)),
+        "memory store",
     );
-    let heap = run_or_exit(ShardStore::from_shards(vec![heap_shard]), "heap store");
     for i in 0..50u64 {
         let user = storegen::splitmix(0xBEEF ^ i) % n as u64;
         let x = storegen::probe(user, 51_000 + i);
         let a = base.gate_margin(user, &x);
-        let b = heap.gate_margin(user, &x);
+        let b = memory.gate_margin(user, &x);
         check(
             a.map(f64::to_bits) == b.map(f64::to_bits),
-            "mmap and heap readers disagree on a gate margin",
+            "shard and memory stores disagree on a gate margin",
         );
     }
+    drop(memory);
 
     // Before the swap: the re-enrolled user still answers at their
     // original centroid (only shard-000000 is published).
@@ -291,7 +293,7 @@ fn run_quick(dir: &std::path::Path) {
         }),
         "salted centroid must name the re-enrolled user",
     );
-    println!("  smoke: reload mid-run, oracle parity, newest-shard-wins, heap/mmap agree");
+    println!("  smoke: reload mid-run, oracle parity, newest-shard-wins, shard/memory agree");
 }
 
 fn main() {

@@ -99,8 +99,8 @@ const VALUE_FLAGS: &[&str] = &["--metrics-out", "--trace-out", "--trace-sample"]
 
 /// Why `args` (without the program name) is not a command line the
 /// binary reads: an argument that is neither a common flag nor one of
-/// `extra` (value flags of this binary alone), or a value flag with no
-/// value after it.
+/// `extra` (value flags of this binary alone), a value flag with no
+/// value after it, or a numeric flag whose value is out of its domain.
 fn bad_args(args: &[String], extra: &[&str]) -> Option<String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -110,9 +110,18 @@ fn bad_args(args: &[String], extra: &[&str]) -> Option<String> {
         if !VALUE_FLAGS.contains(&a.as_str()) && !extra.contains(&a.as_str()) {
             return Some(format!("unknown argument `{a}`"));
         }
-        if it.next().is_none() {
+        let Some(value) = it.next() else {
             return Some(format!("`{a}` needs a value"));
-        }
+        };
+        let domain = match a.as_str() {
+            "--trace-sample" if value.parse::<u64>().is_err() => "a non-negative integer",
+            // `f64` parsing takes `NaN`, `inf` and `1e999`; none is a rate.
+            "--asr-ceiling" if !value.parse::<f64>().is_ok_and(|r| (0.0..=1.0).contains(&r)) => {
+                "a number in [0, 1]"
+            }
+            _ => continue,
+        };
+        return Some(format!("`{a}` takes {domain}, not `{value}`"));
     }
     None
 }
@@ -151,7 +160,8 @@ pub fn banner_with_flags(extra: &[&str], id: &str, title: &str, paper_claim: &st
 /// exits with status 2 before anything runs or any file is written.
 /// `--trace-out <path>` switches span recording on, `--trace-sample
 /// <n>` keeps one trace in `n` (deterministic on the trace serial;
-/// default keeps every trace).
+/// default keeps every trace). A `--trace-sample` that is not a
+/// non-negative integer is refused the same way.
 pub fn banner(id: &str, title: &str, paper_claim: &str) {
     banner_with_flags(&[], id, title, paper_claim);
 }
@@ -208,5 +218,30 @@ mod tests {
             Some("`--trace-out` needs a value".into())
         );
         assert!(check(&["--out"], &["--out"]).is_some());
+    }
+
+    #[test]
+    fn numeric_flags_refuse_values_outside_their_domain() {
+        let ceiling = ["--asr-ceiling"];
+        for ok in ["0", "0.05", "1", "1.0"] {
+            assert_eq!(check(&["--asr-ceiling", ok], &ceiling), None, "{ok}");
+        }
+        for bad in ["0.0x", "NaN", "inf", "1e999", "-1", "2", ""] {
+            assert_eq!(
+                check(&["--quick", "--asr-ceiling", bad], &ceiling),
+                Some(format!(
+                    "`--asr-ceiling` takes a number in [0, 1], not `{bad}`"
+                ))
+            );
+        }
+        assert_eq!(check(&["--trace-sample", "0"], &[]), None);
+        for bad in ["x", "-1", "1.5"] {
+            assert_eq!(
+                check(&["--trace-sample", bad], &[]),
+                Some(format!(
+                    "`--trace-sample` takes a non-negative integer, not `{bad}`"
+                ))
+            );
+        }
     }
 }

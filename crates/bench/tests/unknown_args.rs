@@ -50,6 +50,16 @@ fn unknown_flags_exit_2_and_write_nothing() {
         env!("CARGO_BIN_EXE_fig08_image_feasibility"),
         &["--asr-ceiling", "0.01"],
     );
+    // So is a value out of its flag's domain: an unreadable ceiling
+    // would switch the spoof gate off (`0.0x`) or pass it whatever the
+    // attack rate (`NaN`).
+    for ceiling in ["0.0x", "NaN", "-1", "2"] {
+        assert_refused(
+            env!("CARGO_BIN_EXE_fig_attack"),
+            &["--quick", "--asr-ceiling", ceiling],
+        );
+    }
+    assert_refused(table1, &["--trace-out", "t.jsonl", "--trace-sample", "x"]);
 }
 
 #[test]

@@ -519,7 +519,7 @@ impl Authenticator {
         features: &[Vec<f64>],
         audit: AuthAudit,
     ) -> Result<AuthDecision, EchoImageError> {
-        let mut counts: Vec<(usize, usize)> = Vec::new();
+        let mut votes = BeepVotes::default();
         let mut best_margin = f64::NEG_INFINITY;
         for f in features {
             if f.len() != self.scaler.dim() {
@@ -535,63 +535,14 @@ impl Authenticator {
             let (decision, margin) = self.authenticate_scored(f);
             best_margin = best_margin.max(margin);
             if let AuthDecision::Accepted { user_id } = decision {
-                match counts.iter_mut().find(|(id, _)| *id == user_id) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((user_id, 1)),
-                }
+                votes.add(user_id as u64);
             }
         }
-        let decision = counts
-            .iter()
-            .max_by_key(|(_, n)| *n)
-            .filter(|(_, n)| 2 * n > features.len())
-            .map(|(id, _)| AuthDecision::Accepted { user_id: *id })
-            .unwrap_or(AuthDecision::Rejected);
-        if decision.is_accepted() {
-            echo_obs::counter!("auth.accepted").inc();
-        } else {
-            echo_obs::counter!("auth.rejected").inc();
-        }
-        let mut votes: Vec<(u64, u64)> = counts
-            .iter()
-            .map(|&(id, n)| (id as u64, n as u64))
-            .collect();
-        votes.sort_by_key(|&(id, _)| id);
-        let (verdict, kind, reason) = match decision {
-            AuthDecision::Accepted { user_id } => (
-                AuthVerdict::Accepted {
-                    user_id: user_id as u64,
-                },
-                RejectKind::None,
-                String::new(),
-            ),
-            AuthDecision::Rejected => {
-                let (kind, reason) = match counts.iter().max_by_key(|(_, n)| *n) {
-                    None => (
-                        RejectKind::SpooferGate,
-                        "spoofer gate rejected every beep".to_string(),
-                    ),
-                    Some((id, n)) => (
-                        RejectKind::NoMajority,
-                        format!(
-                            "no strict majority: best candidate user {id} with {n}/{} accepting beeps",
-                            features.len()
-                        ),
-                    ),
-                };
-                (AuthVerdict::Rejected, kind, reason)
-            }
-        };
-        echo_obs::record_audit(AuthAudit {
-            votes,
-            votes_needed: features.len() as u64 / 2 + 1,
+        let audit = AuthAudit {
             best_gate_margin: (!features.is_empty()).then_some(best_margin),
-            verdict,
-            reject_kind: kind,
-            reject_reason: reason,
             ..audit
-        });
-        Ok(decision)
+        };
+        Ok(votes.decide(features.len(), audit, "spoofer gate rejected every beep"))
     }
 
     /// The fitted feature scaler, for exporting the model into the
@@ -618,11 +569,81 @@ impl Authenticator {
     }
 }
 
+/// Accepting beeps per user, in first-vote order: the strict-majority
+/// vote that authentication and store identification share, so their
+/// decisions, counters and audits cannot drift apart.
+#[derive(Debug, Default)]
+pub(crate) struct BeepVotes(Vec<(u64, usize)>);
+
+impl BeepVotes {
+    /// Counts one beep that accepted `user`.
+    pub(crate) fn add(&mut self, user: u64) {
+        match self.0.iter_mut().find(|(id, _)| *id == user) {
+            Some((_, n)) => *n += 1,
+            None => self.0.push((user, 1)),
+        }
+    }
+
+    /// Decides a train of `beeps` beeps: the user with the most
+    /// accepting beeps wins if they hold a strict majority. Bumps
+    /// `auth.accepted` or `auth.rejected` and records `audit` with the
+    /// votes and verdict filled in; `no_vote_reason` is the reject
+    /// reason when no beep accepted anyone.
+    pub(crate) fn decide(
+        self,
+        beeps: usize,
+        audit: AuthAudit,
+        no_vote_reason: &str,
+    ) -> AuthDecision {
+        let best = self.0.iter().max_by_key(|(_, n)| *n);
+        let (decision, verdict, kind, reason) = match best {
+            Some(&(id, n)) if 2 * n > beeps => (
+                AuthDecision::Accepted {
+                    user_id: id as usize,
+                },
+                AuthVerdict::Accepted { user_id: id },
+                RejectKind::None,
+                String::new(),
+            ),
+            Some((id, n)) => (
+                AuthDecision::Rejected,
+                AuthVerdict::Rejected,
+                RejectKind::NoMajority,
+                format!(
+                    "no strict majority: best candidate user {id} with {n}/{beeps} accepting beeps"
+                ),
+            ),
+            None => (
+                AuthDecision::Rejected,
+                AuthVerdict::Rejected,
+                RejectKind::SpooferGate,
+                no_vote_reason.to_string(),
+            ),
+        };
+        if decision.is_accepted() {
+            echo_obs::counter!("auth.accepted").inc();
+        } else {
+            echo_obs::counter!("auth.rejected").inc();
+        }
+        let mut votes: Vec<(u64, u64)> = self.0.iter().map(|&(id, n)| (id, n as u64)).collect();
+        votes.sort_by_key(|&(id, _)| id);
+        echo_obs::record_audit(AuthAudit {
+            votes,
+            votes_needed: beeps as u64 / 2 + 1,
+            verdict,
+            reject_kind: kind,
+            reject_reason: reason,
+            ..audit
+        });
+        decision
+    }
+}
+
 /// The audit of one attempt over `beeps` beeps before any beep is
 /// scored: a capture-screen rejection with an empty reason. Every
 /// outcome fills in its verdict fields over this one base, so the
-/// identity fields of the train and feature-level routes cannot drift.
-fn attempt_audit(
+/// identity fields of every route cannot drift.
+pub(crate) fn attempt_audit(
     ctx: TraceCtx,
     attempt: &AuthAttempt,
     beeps: usize,

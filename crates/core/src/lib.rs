@@ -41,6 +41,10 @@
 //! assert_eq!(image.width(), pipeline.config().imaging.grid_n);
 //! ```
 
+// The workspace denies `unsafe`; this crate forbids it, so no local
+// `allow` can bring it back.
+#![forbid(unsafe_code)]
+
 pub mod augment;
 pub mod auth;
 pub mod config;

@@ -1,5 +1,5 @@
 //! Shard wire format v1: layout constants, checksum, and the
-//! bounds/alignment-checked primitives both readers share.
+//! bounds-checked primitives the reader decodes with.
 //!
 //! A shard file is little-endian throughout:
 //!
@@ -33,10 +33,10 @@
 //!           f64 coefficients[n_sv], f64 support[n_sv × dim]
 //! ```
 //!
-//! Every section offset and record boundary is a multiple of 8, so the
-//! mmap reader can cast in place; [`cast_f64`] and friends verify both
-//! bounds and alignment and return typed [`StoreError`]s with the
-//! offending byte offset.
+//! The writer starts every section and record on a multiple of 8. The
+//! reader does not depend on it: [`Cursor`] decodes each value with
+//! `from_le_bytes`, checks every read against the end of the image,
+//! and returns typed [`StoreError`]s with the offending byte offset.
 
 use super::StoreError;
 
@@ -159,63 +159,8 @@ pub fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
     Ok(header)
 }
 
-macro_rules! cast_fn {
-    ($name:ident, $ty:ty, $label:literal) => {
-        /// Reinterprets `n` little-endian elements at `off` as a typed
-        /// slice without copying. Bounds and alignment are verified;
-        /// only valid on little-endian targets (the reader selection in
-        /// [`super::shard`] guarantees this).
-        ///
-        /// # Errors
-        ///
-        /// [`StoreError::Truncated`] or [`StoreError::Misaligned`],
-        /// both carrying `off`.
-        #[allow(unsafe_code)]
-        pub fn $name<'a>(
-            bytes: &'a [u8],
-            off: usize,
-            n: usize,
-            what: &'static str,
-        ) -> Result<&'a [$ty], StoreError> {
-            let size = std::mem::size_of::<$ty>();
-            let needed = n.checked_mul(size).ok_or(StoreError::Corrupt {
-                offset: off as u64,
-                what: "section length overflows",
-            })?;
-            if off > bytes.len() || needed > bytes.len() - off {
-                return Err(StoreError::Truncated {
-                    offset: off as u64,
-                    needed: needed as u64,
-                    file_len: bytes.len() as u64,
-                    what,
-                });
-            }
-            let ptr = bytes[off..].as_ptr();
-            let align = std::mem::align_of::<$ty>();
-            if ptr as usize % align != 0 {
-                return Err(StoreError::Misaligned {
-                    offset: off as u64,
-                    align: align as u32,
-                    what,
-                });
-            }
-            // SAFETY: bounds and alignment checked above; the target is
-            // little-endian so the byte patterns are valid values of
-            // the primitive (every bit pattern is valid for these
-            // types); lifetime is tied to `bytes`.
-            Ok(unsafe { std::slice::from_raw_parts(ptr as *const $ty, n) })
-        }
-    };
-}
-
-cast_fn!(cast_f64, f64, "f64");
-cast_fn!(cast_f32, f32, "f32");
-cast_fn!(cast_u64, u64, "u64");
-cast_fn!(cast_u32, u32, "u32");
-
-/// A decoding cursor over a shard image for the portable heap reader —
-/// every read is bounds-checked and decodes via `from_le_bytes`, so it
-/// works on any endianness.
+/// A decoding cursor over a shard image — every read is bounds-checked
+/// and decodes via `from_le_bytes`, so it works on any endianness.
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -232,17 +177,24 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], StoreError> {
-        if n > self.bytes.len() - self.pos.min(self.bytes.len()) {
+    /// The bytes of the next `n` elements of `size` bytes each. Neither
+    /// a count nor an offset the file states can wrap the arithmetic or
+    /// index past the image: both are typed errors.
+    fn take(&mut self, n: usize, size: usize, what: &'static str) -> Result<&'a [u8], StoreError> {
+        let len = n.checked_mul(size).ok_or(StoreError::Corrupt {
+            offset: self.pos as u64,
+            what: "section length overflows",
+        })?;
+        if self.pos > self.bytes.len() || len > self.bytes.len() - self.pos {
             return Err(StoreError::Truncated {
                 offset: self.pos as u64,
-                needed: n as u64,
+                needed: len as u64,
                 file_len: self.bytes.len() as u64,
                 what,
             });
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let s = &self.bytes[self.pos..self.pos + len];
+        self.pos += len;
         Ok(s)
     }
 
@@ -252,7 +204,9 @@ impl<'a> Cursor<'a> {
     ///
     /// [`StoreError::Truncated`] at the cursor position.
     pub fn u32(&mut self, what: &'static str) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(
+            self.take(1, 4, what)?.try_into().unwrap(),
+        ))
     }
 
     /// Reads one `u64`.
@@ -261,16 +215,19 @@ impl<'a> Cursor<'a> {
     ///
     /// [`StoreError::Truncated`] at the cursor position.
     pub fn u64(&mut self, what: &'static str) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(
+            self.take(1, 8, what)?.try_into().unwrap(),
+        ))
     }
 
     /// Reads `n` consecutive `f64`s into a vector.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Truncated`] at the cursor position.
+    /// [`StoreError::Truncated`] at the cursor position, or
+    /// [`StoreError::Corrupt`] when `n` elements overflow a byte count.
     pub fn f64s(&mut self, n: usize, what: &'static str) -> Result<Vec<f64>, StoreError> {
-        let raw = self.take(n * 8, what)?;
+        let raw = self.take(n, 8, what)?;
         Ok(raw
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
@@ -281,9 +238,10 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Truncated`] at the cursor position.
+    /// [`StoreError::Truncated`] at the cursor position, or
+    /// [`StoreError::Corrupt`] when `n` elements overflow a byte count.
     pub fn f32s(&mut self, n: usize, what: &'static str) -> Result<Vec<f32>, StoreError> {
-        let raw = self.take(n * 4, what)?;
+        let raw = self.take(n, 4, what)?;
         Ok(raw
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
@@ -294,9 +252,10 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Truncated`] at the cursor position.
+    /// [`StoreError::Truncated`] at the cursor position, or
+    /// [`StoreError::Corrupt`] when `n` elements overflow a byte count.
     pub fn u64s(&mut self, n: usize, what: &'static str) -> Result<Vec<u64>, StoreError> {
-        let raw = self.take(n * 8, what)?;
+        let raw = self.take(n, 8, what)?;
         Ok(raw
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
@@ -307,9 +266,10 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Truncated`] at the cursor position.
+    /// [`StoreError::Truncated`] at the cursor position, or
+    /// [`StoreError::Corrupt`] when `n` elements overflow a byte count.
     pub fn u32s(&mut self, n: usize, what: &'static str) -> Result<Vec<u32>, StoreError> {
-        let raw = self.take(n * 4, what)?;
+        let raw = self.take(n, 4, what)?;
         Ok(raw
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
@@ -427,13 +387,18 @@ mod tests {
     }
 
     #[test]
-    fn cast_checks_bounds() {
-        let bytes = vec![0u8; 64];
-        assert!(cast_f64(&bytes, 0, 8, "x").is_ok());
-        let err = cast_f64(&bytes, 0, 9, "x").unwrap_err();
-        assert!(matches!(err, StoreError::Truncated { needed: 72, .. }));
-        let err = cast_u32(&bytes, 60, 2, "x").unwrap_err();
-        assert!(matches!(err, StoreError::Truncated { offset: 60, .. }));
+    fn cursor_types_offsets_past_the_end_and_overflowing_counts() {
+        let bytes = [0u8; 16];
+        // Even an empty read at an offset past the image is truncated.
+        assert!(matches!(
+            Cursor::at(&bytes, 17).u64s(0, "x"),
+            Err(StoreError::Truncated { offset: 17, .. })
+        ));
+        assert_eq!(Cursor::at(&bytes, 16).u64s(0, "x"), Ok(Vec::new()));
+        assert!(matches!(
+            Cursor::at(&bytes, 0).f64s(usize::MAX / 4, "x"),
+            Err(StoreError::Corrupt { offset: 0, .. })
+        ));
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! 1. **Compact binary templates** — per user, a quantized (`f32`)
 //!    embedding centroid plus the exact (`f64`) SVDD support vectors,
 //!    coefficients, ρ and calibrated threshold — written to versioned,
-//!    checksummed shard files ([`shard`], [`format`](mod@format)) and served via
-//!    memory-mapped zero-copy reads ([`mmap`]) with a portable
-//!    heap-decoding fallback reader.
+//!    checksummed shard files ([`shard`], [`format`](mod@format)) and
+//!    decoded onto the heap when a shard is opened.
 //! 2. **A coarse centroid prefilter** ([`prefilter`]) — an IVF-style
 //!    index over per-user centroids queried with the
 //!    `echo_dsp::simd::sqdist_f32` kernel — prunes the population to a
@@ -30,26 +29,23 @@
 //! `f32` and used solely to rank candidates. Gate scoring always runs
 //! on the bit-preserved `f64` support vectors with the same arithmetic
 //! as [`echo_ml::OneClassSvm::decision`], so a template that round-trips
-//! through serialization and mmap yields margins — and therefore
-//! decisions — bit-identical to the in-memory path. The proptest suite
-//! pins this.
+//! through a shard file yields margins — and therefore decisions —
+//! bit-identical to the in-memory path. The proptest suite pins this.
 
 pub mod format;
-#[allow(unsafe_code)] // the `mmap(2)` wrapper
-pub mod mmap;
 pub mod prefilter;
 pub mod shard;
 pub mod snapshot;
 pub mod template;
 
 pub use prefilter::CoarseIndex;
-pub use shard::{ReaderMode, Shard, ShardWriter, READER_ENV};
+pub use shard::{Shard, ShardWriter};
 pub use snapshot::{ShardStore, StoreHandle};
 pub use template::{GateTemplate, MemoryStore, TemplateBuilder, UserTemplate};
 
-use crate::auth::{AuthAttempt, AuthDecision};
+use crate::auth::{attempt_audit, AuthAttempt, AuthDecision, BeepVotes};
 use crate::error::EchoImageError;
-use echo_obs::{AuthAudit, AuthVerdict, RejectKind, TraceCtx};
+use echo_obs::{AuthAudit, TraceCtx};
 use std::fmt;
 
 /// Candidate-lookup latency histogram (per beep): the time the coarse
@@ -102,15 +98,6 @@ pub enum StoreError {
         /// Which structure was being read.
         what: &'static str,
     },
-    /// A section offset violates the alignment its element type needs.
-    Misaligned {
-        /// The offending byte offset.
-        offset: u64,
-        /// Required alignment in bytes.
-        align: u32,
-        /// Which structure was being read.
-        what: &'static str,
-    },
     /// The trailing FNV-1a checksum does not match the file contents.
     ChecksumMismatch {
         /// Checksum recomputed over the file body.
@@ -156,14 +143,6 @@ impl fmt::Display for StoreError {
                 f,
                 "shard truncated reading {what}: need {needed} bytes at offset {offset}, file is {file_len} bytes"
             ),
-            StoreError::Misaligned {
-                offset,
-                align,
-                what,
-            } => write!(
-                f,
-                "misaligned {what} at byte {offset} (requires {align}-byte alignment)"
-            ),
             StoreError::ChecksumMismatch { expected, found } => write!(
                 f,
                 "shard checksum mismatch: file body hashes to {expected:#018x}, trailer says {found:#018x}"
@@ -191,7 +170,7 @@ pub struct Candidate {
 }
 
 /// Read interface every template store backend implements — the
-/// in-memory [`MemoryStore`], the mmap-backed [`ShardStore`], and
+/// in-memory [`MemoryStore`], the shard-backed [`ShardStore`], and
 /// whatever future backend replaces them. Identification
 /// ([`identify_traced`]) is generic over this trait, so the prefiltered
 /// path and the exhaustive oracle run the same decision code against
@@ -264,7 +243,8 @@ pub fn identify(
 /// frozen scaler, the coarse prefilter prunes the population to
 /// [`IdentifyConfig::top_k`] candidates, the best-margin candidate with
 /// a non-negative margin claims the beep, and a strict majority of
-/// beeps must agree on one user — mirroring the `Authenticator`'s vote.
+/// beeps must agree on one user — the `Authenticator`'s own vote, with
+/// the same counters and audit fields.
 /// Records one [`AuthAudit`] and the `store.*` metrics; all counters
 /// and the audit are bit-identical across `ECHOIMAGE_THREADS` and SIMD
 /// paths.
@@ -289,37 +269,22 @@ pub fn identify_traced(
 ) -> Result<AuthDecision, EchoImageError> {
     let mut tspan = echo_obs::stage!(ctx, "stage.identify", attempt.retry_index);
     echo_obs::counter!("store.identify_attempts").inc();
-    let beeps = features.len() as u64;
-    let reject_audit = |reason: String| AuthAudit {
-        trace: ctx.trace_id(),
-        tenant: None,
-        seq: 0,
-        claimed_user: attempt.claimed_user,
-        beeps,
-        votes: Vec::new(),
-        votes_needed: beeps / 2 + 1,
-        best_gate_margin: None,
-        channels: 0,
-        degraded_mask: 0,
-        retry_index: attempt.retry_index,
-        verdict: AuthVerdict::Rejected,
-        reject_kind: RejectKind::CaptureScreen,
-        reject_reason: reason,
-        spatial_coherence: None,
-    };
+    let base_audit = || attempt_audit(ctx, &attempt, features.len(), 0, 0, None);
     let outcome = (|| {
         if features.is_empty() {
             let e = EchoImageError::NoCaptures;
-            echo_obs::record_audit(reject_audit(format!(
-                "probe rejected before identification: {e}"
-            )));
+            echo_obs::record_audit(AuthAudit {
+                reject_reason: format!("probe rejected before identification: {e}"),
+                ..base_audit()
+            });
             return Err(e);
         }
         if store.user_count() == 0 {
             let e = EchoImageError::InvalidParameter("template store has no enrolled users");
-            echo_obs::record_audit(reject_audit(format!(
-                "probe rejected before identification: {e}"
-            )));
+            echo_obs::record_audit(AuthAudit {
+                reject_reason: format!("probe rejected before identification: {e}"),
+                ..base_audit()
+            });
             return Err(e);
         }
         let dim = store.dim();
@@ -327,14 +292,17 @@ pub fn identify_traced(
         let stds = store.scaler_stds();
         let exhaustive_ids = config.exhaustive.then(|| store.user_ids());
 
-        let mut counts: Vec<(u64, usize)> = Vec::new();
+        let mut votes = BeepVotes::default();
         let mut best_margin = f64::NEG_INFINITY;
         for f in features {
             if f.len() != dim {
                 let e = EchoImageError::InvalidParameter(
                     "feature vector does not match the store dimensionality",
                 );
-                echo_obs::record_audit(reject_audit(format!("identification error: {e}")));
+                echo_obs::record_audit(AuthAudit {
+                    reject_reason: format!("identification error: {e}"),
+                    ..base_audit()
+                });
                 return Err(e);
             }
             // Standardise with the frozen scaler — the same arithmetic
@@ -369,10 +337,7 @@ pub fn identify_traced(
                 best_margin = best_margin.max(margin);
                 if margin >= 0.0 {
                     echo_obs::counter!(PREFILTER_HIT).inc();
-                    match counts.iter_mut().find(|(cid, _)| *cid == id) {
-                        Some((_, n)) => *n += 1,
-                        None => counts.push((id, 1)),
-                    }
+                    votes.add(id);
                 } else {
                     echo_obs::counter!(PREFILTER_MISS).inc();
                 }
@@ -380,64 +345,11 @@ pub fn identify_traced(
                 echo_obs::counter!(PREFILTER_MISS).inc();
             }
         }
-        let decision = counts
-            .iter()
-            .max_by_key(|(_, n)| *n)
-            .filter(|(_, n)| 2 * n > features.len())
-            .map(|(id, _)| AuthDecision::Accepted {
-                user_id: *id as usize,
-            })
-            .unwrap_or(AuthDecision::Rejected);
-        if decision.is_accepted() {
-            echo_obs::counter!("auth.accepted").inc();
-        } else {
-            echo_obs::counter!("auth.rejected").inc();
-        }
-        let mut votes: Vec<(u64, u64)> = counts.iter().map(|&(id, n)| (id, n as u64)).collect();
-        votes.sort_by_key(|&(id, _)| id);
-        let (verdict, kind, reason) = match decision {
-            AuthDecision::Accepted { user_id } => (
-                AuthVerdict::Accepted {
-                    user_id: user_id as u64,
-                },
-                RejectKind::None,
-                String::new(),
-            ),
-            AuthDecision::Rejected => {
-                let (kind, reason) = match counts.iter().max_by_key(|(_, n)| *n) {
-                    None => (
-                        RejectKind::SpooferGate,
-                        "no candidate accepted any beep".to_string(),
-                    ),
-                    Some((id, n)) => (
-                        RejectKind::NoMajority,
-                        format!(
-                            "no strict majority: best candidate user {id} with {n}/{} accepting beeps",
-                            features.len()
-                        ),
-                    ),
-                };
-                (AuthVerdict::Rejected, kind, reason)
-            }
-        };
-        echo_obs::record_audit(AuthAudit {
-            trace: ctx.trace_id(),
-            tenant: None,
-            seq: 0,
-            claimed_user: attempt.claimed_user,
-            beeps,
-            votes,
-            votes_needed: features.len() as u64 / 2 + 1,
+        let audit = AuthAudit {
             best_gate_margin: Some(best_margin).filter(|m| m.is_finite()),
-            channels: 0,
-            degraded_mask: 0,
-            retry_index: attempt.retry_index,
-            verdict,
-            reject_kind: kind,
-            reject_reason: reason,
-            spatial_coherence: None,
-        });
-        Ok(decision)
+            ..base_audit()
+        };
+        Ok(votes.decide(features.len(), audit, "no candidate accepted any beep"))
     })();
     tspan.attr_bool("accepted", matches!(&outcome, Ok(d) if d.is_accepted()));
     outcome

@@ -17,12 +17,12 @@
 //! search (the parity suite in `tests/store_parity.rs` pins this).
 //!
 //! Everything here is expressed over flat slices ([`candidates_in`]);
-//! [`CoarseIndex`] is the owned wrapper the in-memory store and the
-//! shard writer use. The one deliberately non-zero-copy piece is the
+//! [`CoarseIndex`] is the owned wrapper the in-memory store, the shard
+//! writer and the shard reader use. The index also holds the
 //! [`build_scan`] array — a cell-ordered copy of the member centroids
-//! (`n × dim` f32, a few percent of a shard) that every reader rebuilds
-//! at open so a query streams each probed cell instead of taking a
-//! cache miss per member.
+//! (`n × dim` f32, a few percent of a shard) that is rebuilt wherever
+//! the index is, so a query streams each probed cell instead of taking
+//! a cache miss per member.
 
 use super::StoreError;
 use echo_dsp::simd::sqdist_f32_with;
@@ -141,7 +141,7 @@ impl CoarseIndex {
     }
 
     /// Reassembles an index from decoded parts, validating the CSR
-    /// invariants (the heap reader's entry point). `centroids` are the
+    /// invariants (the shard reader's entry point). `centroids` are the
     /// user-ordered `n × dim` centroids the scan copy is rebuilt from.
     ///
     /// # Errors
@@ -222,7 +222,7 @@ pub fn build_scan(dim: usize, members: &[u32], centroids: &[f32]) -> Vec<f32> {
     scan
 }
 
-/// Validates the CSR shape shared by both readers.
+/// Validates the CSR shape of a decoded index.
 ///
 /// # Errors
 ///

@@ -1,63 +1,23 @@
-//! Shard files: the writer and the two readers.
+//! Shard files: the writer and the reader.
 //!
 //! A shard is an immutable, checksummed file of user templates plus a
 //! prebuilt coarse index (format in [`super::format`]). Writes are
 //! atomic — encode to `<path>.tmp`, `fsync`, rename — so a crashed
 //! writer can never leave a half-shard where a reader will find it.
 //!
-//! Two readers share the validated format:
-//!
-//! * [`MappedShard`] memory-maps the file and serves ids, centroids,
-//!   the coarse index and gate parameters zero-copy, casting in place.
-//!   All casts are proven in bounds and aligned **once at open**; the
-//!   steady-state read path never revalidates.
-//! * [`HeapShard`] decodes eagerly via `from_le_bytes` — portable to
-//!   any endianness and the reference the mapped reader is tested
-//!   against.
-//!
-//! Selection is automatic ([`ReaderMode::Auto`]: mmap where available)
-//! and overridable with `ECHOIMAGE_STORE_READER=auto|mmap|heap`.
+//! [`Shard`] reads the whole file and decodes it onto the heap via
+//! `from_le_bytes`, so it works on any endianness. Every count and
+//! offset the file states is checked against the bytes behind it
+//! before anything is read or sized from it: a damaged or doctored
+//! file is a typed [`StoreError`], never a panic or an abort.
 
-use super::format::{
-    cast_f32, cast_f64, cast_u32, cast_u64, parse_header, Cursor, Header, Writer, HEADER_LEN,
-    MAGIC, TRAILER_LEN, VERSION,
-};
-use super::mmap::mmap_available;
-#[cfg(unix)]
-use super::mmap::MmapRegion;
-use super::prefilter::{candidates_in, validate_csr, CoarseIndex};
-use super::template::{gate_margin_flat, GateTemplate, UserTemplate};
+use super::format::{parse_header, Cursor, Writer, HEADER_LEN, MAGIC, TRAILER_LEN, VERSION};
+use super::prefilter::CoarseIndex;
+use super::template::{GateTemplate, UserTemplate};
 use super::StoreError;
 use echo_ml::StandardScaler;
 use std::path::Path;
 use std::sync::Arc;
-
-/// Environment variable selecting the shard reader implementation.
-pub const READER_ENV: &str = "ECHOIMAGE_STORE_READER";
-
-/// Which reader implementation to open shards with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReaderMode {
-    /// Mmap where the target supports it, heap otherwise.
-    #[default]
-    Auto,
-    /// Force the zero-copy mmap reader (open fails where unsupported).
-    Mmap,
-    /// Force the portable heap reader.
-    Heap,
-}
-
-impl ReaderMode {
-    /// Parses [`READER_ENV`]; unset or unrecognised values mean
-    /// [`ReaderMode::Auto`] (mirroring `ECHOIMAGE_SIMD`'s behaviour).
-    pub fn from_env() -> Self {
-        match std::env::var(READER_ENV).as_deref() {
-            Ok("mmap") => ReaderMode::Mmap,
-            Ok("heap") => ReaderMode::Heap,
-            _ => ReaderMode::Auto,
-        }
-    }
-}
 
 fn io_err(path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io {
@@ -231,217 +191,9 @@ impl ShardWriter {
     }
 }
 
-/// The zero-copy reader: holds the mapping and the parsed header, with
-/// every cast proven valid at open time. The one owned allocation is
-/// the cell-ordered centroid scan copy (see
-/// [`super::prefilter::build_scan`]) — a few percent of the shard,
-/// rebuilt at open so candidate queries stream instead of chasing the
-/// user-ordered centroid section.
-#[cfg(unix)]
-#[derive(Debug)]
-pub struct MappedShard {
-    region: MmapRegion,
-    header: Header,
-    scan: Vec<f32>,
-}
-
-#[cfg(unix)]
-impl MappedShard {
-    /// Maps and fully validates `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failure, otherwise any format
-    /// error from [`parse_header`] or the section validation, all with
-    /// byte-offset context.
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
-        let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
-        let region = MmapRegion::map(&file).map_err(|e| io_err(path, e))?;
-        let header = parse_header(region.bytes())?;
-        let mut shard = MappedShard {
-            region,
-            header,
-            scan: Vec::new(),
-        };
-        shard.validate()?;
-        let b = shard.bytes();
-        let h = &shard.header;
-        let dim = h.dim as usize;
-        let n = h.n_users as usize;
-        let centroids =
-            cast_f32(b, h.centroids_off as usize, n * dim, "centroids").expect("validated");
-        let members = cast_u32(b, h.members_off as usize, n, "members").expect("validated");
-        shard.scan = super::prefilter::build_scan(dim, members, centroids);
-        Ok(shard)
-    }
-
-    fn bytes(&self) -> &[u8] {
-        self.region.bytes()
-    }
-
-    fn validate(&self) -> Result<(), StoreError> {
-        let b = self.bytes();
-        let h = &self.header;
-        let dim = h.dim as usize;
-        let n = h.n_users as usize;
-        let n_cells = h.n_cells as usize;
-        cast_f64(b, h.scaler_off as usize, 2 * dim, "scaler")?;
-        let ids = cast_u64(b, h.ids_off as usize, n, "user ids")?;
-        if ids.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(StoreError::Corrupt {
-                offset: h.ids_off,
-                what: "user ids not strictly ascending",
-            });
-        }
-        cast_f32(b, h.centroids_off as usize, n * dim, "centroids")?;
-        let cells = cast_f32(b, h.cell_cent_off as usize, n_cells * dim, "cell centroids")?;
-        let offsets = cast_u32(b, h.cell_offs_off as usize, n_cells + 1, "cell offsets")?;
-        let members = cast_u32(b, h.members_off as usize, n, "cell members")?;
-        validate_csr(dim, cells, offsets, members, n).map_err(|e| match e {
-            StoreError::Corrupt { what, .. } => StoreError::Corrupt {
-                offset: h.cell_offs_off,
-                what,
-            },
-            other => other,
-        })?;
-        let rec_tab = cast_u64(b, h.rec_tab_off as usize, n + 1, "record table")?;
-        let gates_end = (b.len() - TRAILER_LEN) as u64;
-        if rec_tab.first().is_some_and(|&r| r != h.gates_off)
-            || rec_tab.last() != Some(&gates_end)
-            || rec_tab.windows(2).any(|w| w[0] > w[1])
-            || rec_tab.iter().any(|&r| r % 8 != 0)
-        {
-            return Err(StoreError::Corrupt {
-                offset: h.rec_tab_off,
-                what: "record table is not a monotone 8-aligned span of the gate section",
-            });
-        }
-        // Walk every record once so the hot path can read unchecked.
-        for u in 0..n {
-            let rec_end = rec_tab[u + 1] as usize;
-            let mut c = Cursor::at(&b[..rec_end], rec_tab[u] as usize);
-            let n_gates = c.u32("gate count")?;
-            c.u32("gate count padding")?;
-            for _ in 0..n_gates {
-                let n_sv = c.u32("support vector count")? as usize;
-                c.u32("support vector padding")?;
-                let _ = c.f64s(3, "gate parameters")?;
-                let block = n_sv
-                    .checked_mul(dim)
-                    .and_then(|s| s.checked_add(n_sv))
-                    .ok_or(StoreError::Corrupt {
-                        offset: c.pos() as u64,
-                        what: "gate size overflows",
-                    })?;
-                let _ = c.f64s(block, "gate coefficients and support vectors")?;
-            }
-            if c.pos() != rec_end {
-                return Err(StoreError::Corrupt {
-                    offset: c.pos() as u64,
-                    what: "gate record does not end at its table boundary",
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Feature dimensionality.
-    pub fn dim(&self) -> usize {
-        self.header.dim as usize
-    }
-
-    /// Users in this shard.
-    pub fn n_users(&self) -> usize {
-        self.header.n_users as usize
-    }
-
-    /// Sorted user ids, zero-copy.
-    pub fn ids(&self) -> &[u64] {
-        cast_u64(
-            self.bytes(),
-            self.header.ids_off as usize,
-            self.n_users(),
-            "user ids",
-        )
-        .expect("validated at open")
-    }
-
-    /// Scaler means, zero-copy.
-    pub fn means(&self) -> &[f64] {
-        cast_f64(
-            self.bytes(),
-            self.header.scaler_off as usize,
-            self.dim(),
-            "scaler means",
-        )
-        .expect("validated at open")
-    }
-
-    /// Scaler divisors, zero-copy.
-    pub fn stds(&self) -> &[f64] {
-        cast_f64(
-            self.bytes(),
-            self.header.scaler_off as usize + 8 * self.dim(),
-            self.dim(),
-            "scaler stds",
-        )
-        .expect("validated at open")
-    }
-
-    /// Top-`k` candidate user *indices* for a probe, via the on-disk
-    /// coarse index (cells/offsets/members zero-copy, member centroids
-    /// from the cell-ordered scan copy).
-    pub fn candidates(&self, probe: &[f32], k: usize) -> Vec<(u32, f32)> {
-        let b = self.bytes();
-        let h = &self.header;
-        let dim = self.dim();
-        let n = self.n_users();
-        let n_cells = h.n_cells as usize;
-        let cells =
-            cast_f32(b, h.cell_cent_off as usize, n_cells * dim, "cells").expect("validated");
-        let offsets =
-            cast_u32(b, h.cell_offs_off as usize, n_cells + 1, "offsets").expect("validated");
-        let members = cast_u32(b, h.members_off as usize, n, "members").expect("validated");
-        candidates_in(dim, cells, offsets, members, &self.scan, probe, k)
-    }
-
-    /// The user-at-index's gate margin on a scaled probe, evaluated
-    /// straight off the mapped gate record.
-    pub fn margin_by_index(&self, user: usize, x: &[f64]) -> f64 {
-        let b = self.bytes();
-        let dim = self.dim();
-        let rec_tab = cast_u64(
-            b,
-            self.header.rec_tab_off as usize,
-            self.n_users() + 1,
-            "record table",
-        )
-        .expect("validated");
-        let mut p = rec_tab[user] as usize;
-        let n_gates = u32::from_le_bytes(b[p..p + 4].try_into().unwrap());
-        p += 8;
-        let mut best = f64::NEG_INFINITY;
-        for _ in 0..n_gates {
-            let n_sv = u32::from_le_bytes(b[p..p + 4].try_into().unwrap()) as usize;
-            p += 8;
-            let params = cast_f64(b, p, 3, "gate parameters").expect("validated");
-            let (gamma, rho, threshold) = (params[0], params[1], params[2]);
-            p += 24;
-            let coeffs = cast_f64(b, p, n_sv, "coefficients").expect("validated");
-            p += 8 * n_sv;
-            let support = cast_f64(b, p, n_sv * dim, "support vectors").expect("validated");
-            p += 8 * n_sv * dim;
-            best = best.max(gate_margin_flat(
-                gamma, rho, threshold, coeffs, support, dim, x,
-            ));
-        }
-        best
-    }
-}
-
-/// The portable reader: everything decoded onto the heap at open.
+/// An open shard: everything decoded onto the heap at open.
 #[derive(Debug, Clone)]
-pub struct HeapShard {
+pub struct Shard {
     dim: usize,
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -450,7 +202,7 @@ pub struct HeapShard {
     users: Vec<Vec<GateTemplate>>,
 }
 
-impl HeapShard {
+impl Shard {
     /// Reads and fully decodes `path`.
     ///
     /// # Errors
@@ -466,7 +218,7 @@ impl HeapShard {
     ///
     /// # Errors
     ///
-    /// As for [`HeapShard::open`], minus I/O.
+    /// As for [`Shard::open`], minus I/O.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
         let h = parse_header(bytes)?;
         let dim = h.dim as usize;
@@ -514,7 +266,11 @@ impl HeapShard {
             let mut c = Cursor::at(&bytes[..rec_end.min(bytes.len())], rec_tab[u] as usize);
             let n_gates = c.u32("gate count")?;
             c.u32("gate count padding")?;
-            let mut gates = Vec::with_capacity(n_gates as usize);
+            // A resealed file can state any count. Every gate takes at
+            // least 32 bytes (its counts and parameters), so the bytes
+            // left in the record bound how many can follow it.
+            let fit = rec_end.saturating_sub(c.pos()) / 32;
+            let mut gates = Vec::with_capacity((n_gates as usize).min(fit));
             for _ in 0..n_gates {
                 let n_sv = c.u32("support vector count")? as usize;
                 c.u32("support vector padding")?;
@@ -541,7 +297,7 @@ impl HeapShard {
             }
             users.push(gates);
         }
-        Ok(HeapShard {
+        Ok(Shard {
             dim,
             means,
             stds,
@@ -589,122 +345,9 @@ impl HeapShard {
         }
         best
     }
-}
-
-/// An open shard, whichever reader backs it.
-#[derive(Debug)]
-pub enum Shard {
-    /// Zero-copy mmap reader.
-    #[cfg(unix)]
-    Mapped(MappedShard),
-    /// Portable heap reader.
-    Heap(HeapShard),
-}
-
-impl Shard {
-    /// Opens `path` with the reader selected by [`READER_ENV`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Shard::open_with`].
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
-        Self::open_with(path, ReaderMode::from_env())
-    }
-
-    /// Opens `path` with an explicit reader choice.
-    ///
-    /// # Errors
-    ///
-    /// Any [`StoreError`] from the chosen reader, or
-    /// [`StoreError::Io`] when `mode` is [`ReaderMode::Mmap`] on a
-    /// target without a usable mmap reader.
-    pub fn open_with(path: &Path, mode: ReaderMode) -> Result<Self, StoreError> {
-        let use_mmap = match mode {
-            ReaderMode::Auto => mmap_available(),
-            ReaderMode::Mmap => {
-                if !mmap_available() {
-                    return Err(StoreError::Io {
-                        path: path.display().to_string(),
-                        message: "mmap reader unavailable on this target".to_string(),
-                    });
-                }
-                true
-            }
-            ReaderMode::Heap => false,
-        };
-        #[cfg(unix)]
-        if use_mmap {
-            return Ok(Shard::Mapped(MappedShard::open(path)?));
-        }
-        let _ = use_mmap;
-        Ok(Shard::Heap(HeapShard::open(path)?))
-    }
-
-    /// Feature dimensionality.
-    pub fn dim(&self) -> usize {
-        match self {
-            #[cfg(unix)]
-            Shard::Mapped(s) => s.dim(),
-            Shard::Heap(s) => s.dim(),
-        }
-    }
-
-    /// Users in this shard.
-    pub fn n_users(&self) -> usize {
-        match self {
-            #[cfg(unix)]
-            Shard::Mapped(s) => s.n_users(),
-            Shard::Heap(s) => s.n_users(),
-        }
-    }
-
-    /// Sorted user ids.
-    pub fn ids(&self) -> &[u64] {
-        match self {
-            #[cfg(unix)]
-            Shard::Mapped(s) => s.ids(),
-            Shard::Heap(s) => s.ids(),
-        }
-    }
-
-    /// Scaler means.
-    pub fn means(&self) -> &[f64] {
-        match self {
-            #[cfg(unix)]
-            Shard::Mapped(s) => s.means(),
-            Shard::Heap(s) => s.means(),
-        }
-    }
-
-    /// Scaler divisors.
-    pub fn stds(&self) -> &[f64] {
-        match self {
-            #[cfg(unix)]
-            Shard::Mapped(s) => s.stds(),
-            Shard::Heap(s) => s.stds(),
-        }
-    }
-
-    /// Top-`k` candidate user indices for a probe.
-    pub fn candidates(&self, probe: &[f32], k: usize) -> Vec<(u32, f32)> {
-        match self {
-            #[cfg(unix)]
-            Shard::Mapped(s) => s.candidates(probe, k),
-            Shard::Heap(s) => s.candidates(probe, k),
-        }
-    }
-
-    /// The user-at-index's gate margin on a scaled probe.
-    pub fn margin_by_index(&self, user: usize, x: &[f64]) -> f64 {
-        match self {
-            #[cfg(unix)]
-            Shard::Mapped(s) => s.margin_by_index(user, x),
-            Shard::Heap(s) => s.margin_by_index(user, x),
-        }
-    }
 
     /// Index of `user_id` within this shard, if present.
     pub fn find(&self, user_id: u64) -> Option<usize> {
-        self.ids().binary_search(&user_id).ok()
+        self.ids.binary_search(&user_id).ok()
     }
 }

@@ -66,47 +66,26 @@ impl GateTemplate {
         self.coefficients.len()
     }
 
-    /// This gate's margin on a scaled probe — see [`gate_margin_flat`].
+    /// This gate's margin on a scaled probe: `Σᵢ αᵢ·exp(−γ‖svᵢ − x‖²) −
+    /// ρ − θ`, accumulated left to right exactly like
+    /// [`echo_ml::OneClassSvm::decision`] followed by the authenticator's
+    /// `decision − threshold` — the single evaluator every backend
+    /// (in-memory and decoded shard templates alike) funnels through,
+    /// which is what makes round-tripped margins bit-identical to the
+    /// in-memory path. Deliberately a plain left-to-right loop, not a
+    /// lane-strided SIMD reduction, which would change the bits.
     pub fn margin(&self, dim: usize, x: &[f64]) -> f64 {
-        gate_margin_flat(
-            self.gamma,
-            self.rho,
-            self.threshold,
-            &self.coefficients,
-            &self.support,
-            dim,
-            x,
-        )
-    }
-}
-
-/// Evaluates one RBF gate over flat slices: `Σᵢ αᵢ·exp(−γ‖svᵢ − x‖²) −
-/// ρ − θ`, accumulated left to right exactly like
-/// [`echo_ml::OneClassSvm::decision`] followed by the authenticator's
-/// `decision − threshold` — the single evaluator every backend (heap
-/// templates and mmap'd shard bytes alike) funnels through, which is
-/// what makes round-tripped margins bit-identical to the in-memory
-/// path. Deliberately a plain left-to-right loop, not a lane-strided
-/// SIMD reduction, which would change the bits.
-pub fn gate_margin_flat(
-    gamma: f64,
-    rho: f64,
-    threshold: f64,
-    coefficients: &[f64],
-    support: &[f64],
-    dim: usize,
-    x: &[f64],
-) -> f64 {
-    let mut acc = 0.0;
-    for (i, &c) in coefficients.iter().enumerate() {
-        let sv = &support[i * dim..(i + 1) * dim];
-        let mut d2 = 0.0;
-        for (a, b) in sv.iter().zip(x.iter()) {
-            d2 += (a - b) * (a - b);
+        let mut acc = 0.0;
+        for (i, &c) in self.coefficients.iter().enumerate() {
+            let sv = &self.support[i * dim..(i + 1) * dim];
+            let mut d2 = 0.0;
+            for (a, b) in sv.iter().zip(x.iter()) {
+                d2 += (a - b) * (a - b);
+            }
+            acc += c * (-self.gamma * d2).exp();
         }
-        acc += c * (-gamma * d2).exp();
+        (acc - self.rho) - self.threshold
     }
-    (acc - rho) - threshold
 }
 
 /// One user's complete identification template.

@@ -13,7 +13,7 @@
 use echo_ml::StandardScaler;
 use echoimage_core::auth::AuthConfig;
 use echoimage_core::store::{
-    identify, IdentifyConfig, MemoryStore, ReaderMode, Shard, ShardStore, ShardWriter, StoreHandle,
+    identify, IdentifyConfig, MemoryStore, Shard, ShardStore, ShardWriter, StoreHandle,
     TemplateBuilder, TemplateStore, UserTemplate,
 };
 use std::collections::BTreeMap;
@@ -249,24 +249,26 @@ fn shards_with_mismatched_scalers_are_rejected() {
     std::fs::remove_file(&pb).unwrap();
 }
 
-/// Satellite 1: the `store.*` metrics are logical-event counts, so two
-/// identical runs — and any `ECHOIMAGE_THREADS` setting, since
-/// identification runs on the coordinating thread — must produce the
-/// same values; and both readers must count identically.
+/// The `store.*` metrics are logical-event counts, so two identical
+/// runs — and any `ECHOIMAGE_THREADS` setting, since identification
+/// runs on the coordinating thread — must produce the same values; and
+/// a shard store must count exactly like the in-memory store holding
+/// the same templates.
 #[test]
 fn store_metrics_are_deterministic_and_reader_independent() {
     let pop = enroll(60, 47);
     let path = write_shard(&pop.builder, &pop.templates, "metrics");
+    let shards = ShardStore::from_shards(vec![Shard::open(&path).unwrap()]).unwrap();
+    let memory = MemoryStore::from_templates(pop.builder.scaler(), pop.templates.clone()).unwrap();
     let cfg = IdentifyConfig::default();
 
-    let run = |mode: ReaderMode| -> BTreeMap<String, u64> {
+    let run = |store: &dyn TemplateStore| -> BTreeMap<String, u64> {
         let _g = guard();
-        let store = ShardStore::from_shards(vec![Shard::open_with(&path, mode).unwrap()]).unwrap();
         for u in (1..=60u64).step_by(5) {
-            let _ = identify(&store, &cloud(u, 3, 0xCAFE), &cfg).unwrap();
+            let _ = identify(store, &cloud(u, 3, 0xCAFE), &cfg).unwrap();
         }
         // One spoofer that misses everywhere.
-        let _ = identify(&store, &[vec![1e4; DIM], vec![-1e4; DIM]], &cfg).unwrap();
+        let _ = identify(store, &[vec![1e4; DIM], vec![-1e4; DIM]], &cfg).unwrap();
         let snap = echo_obs::snapshot();
         let mut map: BTreeMap<String, u64> = snap
             .counters
@@ -286,13 +288,14 @@ fn store_metrics_are_deterministic_and_reader_independent() {
         map
     };
 
-    let first = run(ReaderMode::Heap);
-    let again = run(ReaderMode::Heap);
+    let first = run(&shards);
+    let again = run(&shards);
     assert_eq!(first, again, "store metrics differ between identical runs");
-    if cfg!(unix) {
-        let mapped = run(ReaderMode::Mmap);
-        assert_eq!(first, mapped, "store metrics differ between readers");
-    }
+    assert_eq!(
+        first,
+        run(&memory),
+        "store metrics differ between shard and memory stores"
+    );
     // The workload shape is pinned: 12 legit trains x 3 beeps + 1
     // spoofer train x 2 beeps = 38 lookups; hits/misses partition them.
     assert_eq!(first["store.lookup#count"], 38);

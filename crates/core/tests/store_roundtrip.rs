@@ -1,23 +1,24 @@
 //! Template-store round-trip properties and corruption rejection.
 //!
 //! The exactness contract: enrolling a user, serializing their template
-//! into a shard, and identifying through either shard reader (heap
-//! decode or zero-copy mmap) must produce the *same bits* — margins and
-//! therefore `AuthDecision`s — as the in-memory store the templates
-//! came from. Quantization (f32 centroids) only ever touches prefilter
-//! ranking, and both store flavours build the identical coarse index,
-//! so even candidate sets agree exactly.
+//! into a shard, and identifying through the reopened shard must
+//! produce the *same bits* — margins and therefore `AuthDecision`s — as
+//! the in-memory store the templates came from. Quantization (f32
+//! centroids) only ever touches prefilter ranking, and both store
+//! flavours build the identical coarse index, so even candidate sets
+//! agree exactly.
 //!
 //! The corruption half pins the failure mode of every byte of a shard:
-//! a flipped bit is a checksum mismatch, a truncation is a typed
-//! `Truncated` with the offending offset, and a doctored section is a
-//! `Corrupt` naming the violated invariant — never a panic, never a
-//! silently wrong decision.
+//! every truncation is a typed `Truncated` with the offending offset,
+//! every bit flip a checksum mismatch (or an earlier typed header
+//! error), and every flip with the checksum recomputed decodes or is a
+//! typed error — never a panic, never an abort.
 
 use echo_ml::StandardScaler;
 use echoimage_core::auth::AuthConfig;
+use echoimage_core::store::format::{fnv1a64, MIN_FILE_LEN};
 use echoimage_core::store::{
-    identify, IdentifyConfig, MemoryStore, ReaderMode, Shard, ShardStore, ShardWriter, StoreError,
+    identify, IdentifyConfig, MemoryStore, Shard, ShardStore, ShardWriter, StoreError,
     TemplateBuilder, TemplateStore, UserTemplate,
 };
 use echoimage_core::EchoImageError;
@@ -111,10 +112,10 @@ fn assert_same_decisions(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Satellite 3, the core property: enroll → serialize → reopen
-    /// (heap and mmap) → identify gives the same `AuthDecision` as the
-    /// in-memory path, for both the prefiltered and exhaustive modes —
-    /// and the margins themselves are bit-identical.
+    /// The core property: enroll → serialize → reopen → identify gives
+    /// the same `AuthDecision` as the in-memory path, for both the
+    /// prefiltered and exhaustive modes — and the margins themselves are
+    /// bit-identical.
     fn roundtrip_preserves_decisions(
         n_users in 1usize..9,
         dim in 2usize..6,
@@ -129,42 +130,32 @@ proptest! {
         }
         w.write_to(&path).unwrap();
 
-        let mut stores: Vec<ShardStore> = Vec::new();
-        stores.push(ShardStore::from_shards(vec![
-            Shard::open_with(&path, ReaderMode::Heap).unwrap(),
-        ]).unwrap());
-        if cfg!(unix) {
-            stores.push(ShardStore::from_shards(vec![
-                Shard::open_with(&path, ReaderMode::Mmap).unwrap(),
-            ]).unwrap());
-        }
+        let store = ShardStore::from_shards(vec![Shard::open(&path).unwrap()]).unwrap();
 
         let probes = probes_for(&fx, dim, salt);
-        for store in &stores {
-            // Margins are bit-identical user by user, probe by probe.
-            for probe in probes.iter().flatten() {
-                let x = fx.builder.scaler().transform(probe);
-                for id in fx.memory.user_ids() {
-                    let want = fx.memory.gate_margin(id, &x).unwrap();
-                    let got = store.gate_margin(id, &x).unwrap();
-                    prop_assert_eq!(want.to_bits(), got.to_bits(),
-                        "margin bits differ for user {}", id);
-                }
+        // Margins are bit-identical user by user, probe by probe.
+        for probe in probes.iter().flatten() {
+            let x = fx.builder.scaler().transform(probe);
+            for id in fx.memory.user_ids() {
+                let want = fx.memory.gate_margin(id, &x).unwrap();
+                let got = store.gate_margin(id, &x).unwrap();
+                prop_assert_eq!(want.to_bits(), got.to_bits(),
+                    "margin bits differ for user {}", id);
             }
-            // And so are whole identification decisions.
-            for cfg in [
-                IdentifyConfig::default(),
-                IdentifyConfig { exhaustive: true, ..IdentifyConfig::default() },
-                IdentifyConfig { top_k: 2, exhaustive: false },
-            ] {
-                assert_same_decisions(&fx.memory, store, &probes, &cfg)?;
-            }
+        }
+        // And so are whole identification decisions.
+        for cfg in [
+            IdentifyConfig::default(),
+            IdentifyConfig { exhaustive: true, ..IdentifyConfig::default() },
+            IdentifyConfig { top_k: 2, exhaustive: false },
+        ] {
+            assert_same_decisions(&fx.memory, &store, &probes, &cfg)?;
         }
         std::fs::remove_file(&path).unwrap();
     }
 
     /// Candidate sets (ids and quantized distances) agree exactly
-    /// between the in-memory index and both shard readers.
+    /// between the in-memory index and the reopened shard.
     fn roundtrip_preserves_candidates(
         n_users in 1usize..9,
         dim in 2usize..5,
@@ -178,22 +169,13 @@ proptest! {
             w.push(t.clone()).unwrap();
         }
         w.write_to(&path).unwrap();
-        let modes: &[ReaderMode] = if cfg!(unix) {
-            &[ReaderMode::Heap, ReaderMode::Mmap]
-        } else {
-            &[ReaderMode::Heap]
-        };
-        for &mode in modes {
-            let store = ShardStore::from_shards(vec![
-                Shard::open_with(&path, mode).unwrap(),
-            ]).unwrap();
-            for probe in probes_for(&fx, dim, salt).iter().flatten() {
-                let x = fx.builder.scaler().transform(probe);
-                let xq: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-                let want = fx.memory.candidates(&xq, k);
-                let got = store.candidates(&xq, k);
-                prop_assert_eq!(&want, &got, "candidates differ in mode {:?}", mode);
-            }
+        let store = ShardStore::from_shards(vec![Shard::open(&path).unwrap()]).unwrap();
+        for probe in probes_for(&fx, dim, salt).iter().flatten() {
+            let x = fx.builder.scaler().transform(probe);
+            let xq: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+            let want = fx.memory.candidates(&xq, k);
+            let got = store.candidates(&xq, k);
+            prop_assert_eq!(&want, &got, "candidates differ");
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -203,20 +185,9 @@ fn sealed(mut bytes: Vec<u8>) -> Vec<u8> {
     // Recompute the trailer so doctored sections get past the checksum
     // and exercise the structural validation.
     let body_len = bytes.len() - 8;
-    let sum = echoimage_core::store::format::fnv1a64(&bytes[..body_len]);
+    let sum = fnv1a64(&bytes[..body_len]);
     bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
     bytes
-}
-
-fn open_both(bytes: &[u8], tag: &str) -> Vec<Result<Shard, StoreError>> {
-    let path = shard_path(tag);
-    std::fs::write(&path, bytes).unwrap();
-    let mut out = vec![Shard::open_with(&path, ReaderMode::Heap)];
-    if cfg!(unix) {
-        out.push(Shard::open_with(&path, ReaderMode::Mmap));
-    }
-    std::fs::remove_file(&path).unwrap();
-    out
 }
 
 fn encoded_fixture() -> Vec<u8> {
@@ -228,58 +199,103 @@ fn encoded_fixture() -> Vec<u8> {
     w.encode().unwrap()
 }
 
+fn u64_at(bytes: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
+}
+
 #[test]
 fn bit_flip_anywhere_is_a_checksum_mismatch() {
     let bytes = encoded_fixture();
-    // Flip one bit in a handful of positions spread over the file
-    // (past the header fields that fail faster by design).
-    for pos in [100, bytes.len() / 2, bytes.len() - 9] {
+    for pos in 0..bytes.len() {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x10;
-        for (i, r) in open_both(&bad, &format!("flip-{pos}"))
-            .into_iter()
-            .enumerate()
-        {
-            assert!(
-                matches!(r, Err(StoreError::ChecksumMismatch { .. })),
-                "reader {i}, flip at {pos}: {r:?}"
-            );
-        }
+        let r = Shard::decode(&bad);
+        // The header fields checked before the checksum fail first,
+        // each with its own typed error.
+        let typed = match pos {
+            0..8 => matches!(r, Err(StoreError::BadMagic { offset: 0 })),
+            8..12 => matches!(r, Err(StoreError::BadVersion { offset: 8, .. })),
+            88..96 => matches!(
+                r,
+                Err(StoreError::Truncated { .. } | StoreError::Corrupt { offset: 88, .. })
+            ),
+            _ => matches!(r, Err(StoreError::ChecksumMismatch { .. })),
+        };
+        assert!(typed, "flip at {pos}: {r:?}");
     }
 }
 
 #[test]
 fn truncation_is_typed_with_offsets() {
     let bytes = encoded_fixture();
-    // Cut in the header: Truncated before anything else is attempted.
-    for (i, r) in open_both(&bytes[..40], "trunc-header")
-        .into_iter()
-        .enumerate()
-    {
-        match r {
-            Err(StoreError::Truncated { file_len: 40, .. }) => {}
-            other => panic!("reader {i}: {other:?}"),
-        }
-    }
-    // Cut mid-body: the header promises more bytes than exist.
-    let cut = bytes.len() - 100;
-    for (i, r) in open_both(&bytes[..cut], "trunc-body")
-        .into_iter()
-        .enumerate()
-    {
-        match r {
+    for cut in 0..bytes.len() {
+        match Shard::decode(&bytes[..cut]) {
             Err(StoreError::Truncated {
                 offset,
-                needed: 100,
+                needed,
                 file_len,
                 ..
             }) => {
-                assert_eq!(offset as usize, cut, "reader {i}");
-                assert_eq!(file_len as usize, cut, "reader {i}");
+                assert_eq!(file_len as usize, cut, "cut at {cut}");
+                if cut < MIN_FILE_LEN {
+                    // Cut in the header: nothing past it is attempted.
+                    assert_eq!((offset, needed), (0, MIN_FILE_LEN as u64), "cut at {cut}");
+                } else {
+                    // Cut in the body: the header promises the rest.
+                    assert_eq!(offset as usize, cut, "cut at {cut}");
+                    assert_eq!((offset + needed) as usize, bytes.len(), "cut at {cut}");
+                }
             }
-            other => panic!("reader {i}: {other:?}"),
+            other => panic!("cut at {cut}: {other:?}"),
         }
     }
+}
+
+#[test]
+fn resealed_flips_decode_or_fail_typed() {
+    // FNV-1a checks integrity, it does not authenticate: anyone can
+    // flip bytes and recompute the trailer. Every such image must
+    // decode to a shard that answers queries, or to a typed format
+    // error — never a panic or an abort.
+    let bytes = encoded_fixture();
+    let (mut decoded, mut rejected) = (0, 0);
+    for pos in 0..bytes.len() - 8 {
+        for mask in [0x01, 0x80, 0xFF] {
+            let mut bad = bytes.clone();
+            bad[pos] ^= mask;
+            match Shard::decode(&sealed(bad)) {
+                Ok(shard) => {
+                    let x = vec![0.0; shard.dim()];
+                    let xq = vec![0.0f32; shard.dim()];
+                    let _ = shard.candidates(&xq, 4);
+                    for u in 0..shard.n_users() {
+                        let _ = shard.margin_by_index(u, &x);
+                    }
+                    decoded += 1;
+                }
+                Err(StoreError::Io { .. } | StoreError::InvalidTemplate(_)) => {
+                    panic!("flip {mask:#04x} at {pos}: not a format error")
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+    }
+    // Flips in float payloads decode; flips in counts and offsets fail.
+    assert!(
+        decoded > 0 && rejected > 0,
+        "{decoded} decoded, {rejected} rejected"
+    );
+}
+
+#[test]
+fn hostile_gate_count_is_truncated_not_an_abort() {
+    // A resealed first gate count of 2^31 must not size an allocation
+    // (~150 GB of gates) before the gates behind it are read.
+    let mut bad = encoded_fixture();
+    let first_record = u64_at(&bad, 80) as usize;
+    bad[first_record..first_record + 4].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+    let r = Shard::decode(&sealed(bad));
+    assert!(matches!(r, Err(StoreError::Truncated { .. })), "{r:?}");
 }
 
 #[test]
@@ -287,64 +303,56 @@ fn wrong_magic_and_version_are_typed() {
     let bytes = encoded_fixture();
     let mut bad = bytes.clone();
     bad[..8].copy_from_slice(b"NOTSHARD");
-    for r in open_both(&bad, "magic") {
-        assert_eq!(r.unwrap_err(), StoreError::BadMagic { offset: 0 });
-    }
+    assert_eq!(
+        Shard::decode(&bad).unwrap_err(),
+        StoreError::BadMagic { offset: 0 }
+    );
     let mut bad = bytes;
     bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-    for r in open_both(&bad, "version") {
-        assert_eq!(
-            r.unwrap_err(),
-            StoreError::BadVersion {
-                offset: 8,
-                found: 99,
-                supported: 1
-            }
-        );
-    }
+    assert_eq!(
+        Shard::decode(&bad).unwrap_err(),
+        StoreError::BadVersion {
+            offset: 8,
+            found: 99,
+            supported: 1
+        }
+    );
 }
 
 #[test]
 fn doctored_record_table_is_corrupt_not_a_panic() {
     let bytes = encoded_fixture();
-    let rec_tab_off = u64::from_le_bytes(bytes[72..80].try_into().unwrap()) as usize;
+    let rec_tab_off = u64_at(&bytes, 72) as usize;
     // Point the first record past the second: non-monotone table.
     let mut bad = bytes.clone();
-    let second = u64::from_le_bytes(bytes[rec_tab_off + 8..rec_tab_off + 16].try_into().unwrap());
+    let second = u64_at(&bytes, rec_tab_off + 8);
     bad[rec_tab_off..rec_tab_off + 8].copy_from_slice(&(second + 8).to_le_bytes());
-    for (i, r) in open_both(&sealed(bad), "rectab").into_iter().enumerate() {
-        assert!(
-            matches!(r, Err(StoreError::Corrupt { .. })),
-            "reader {i}: {r:?}"
-        );
-    }
+    let r = Shard::decode(&sealed(bad));
+    assert!(matches!(r, Err(StoreError::Corrupt { .. })), "{r:?}");
     // Inflate a support-vector count: the record no longer ends at its
     // table boundary (or runs off the file) — typed either way.
-    let gates_off = u64::from_le_bytes(bytes[80..88].try_into().unwrap()) as usize;
+    let gates_off = u64_at(&bytes, 80) as usize;
     let mut bad = bytes.clone();
     let n_sv_pos = gates_off + 8; // first gate's n_sv, after the record header
     bad[n_sv_pos..n_sv_pos + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
-    for (i, r) in open_both(&sealed(bad), "nsv").into_iter().enumerate() {
-        assert!(
-            matches!(
-                r,
-                Err(StoreError::Corrupt { .. }) | Err(StoreError::Truncated { .. })
-            ),
-            "reader {i}: {r:?}"
-        );
-    }
+    let r = Shard::decode(&sealed(bad));
+    assert!(
+        matches!(
+            r,
+            Err(StoreError::Corrupt { .. }) | Err(StoreError::Truncated { .. })
+        ),
+        "{r:?}"
+    );
     // Unsorted user ids.
-    let ids_off = u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
+    let ids_off = u64_at(&bytes, 32) as usize;
     let mut bad = bytes.clone();
     bad[ids_off..ids_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    for (i, r) in open_both(&sealed(bad), "ids").into_iter().enumerate() {
-        match r {
-            Err(StoreError::Corrupt { offset, what }) => {
-                assert_eq!(offset as usize, ids_off, "reader {i}");
-                assert!(what.contains("ascending"), "reader {i}: {what}");
-            }
-            other => panic!("reader {i}: {other:?}"),
+    match Shard::decode(&sealed(bad)) {
+        Err(StoreError::Corrupt { offset, what }) => {
+            assert_eq!(offset as usize, ids_off);
+            assert!(what.contains("ascending"), "{what}");
         }
+        other => panic!("{other:?}"),
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! The workspace is dependency-free, so the I/O loop declares the one
 //! syscall wrapper it blocks in directly against the platform C
-//! library, the way the template store declares `mmap`. `poll` is
-//! level-triggered and portable across every unix target the daemon
-//! builds for; with the handful of descriptors a daemon of this size
-//! watches, its O(n) scan costs less than the syscall itself.
+//! library. `poll` is level-triggered and portable across every unix
+//! target the daemon builds for; with the handful of descriptors a
+//! daemon of this size watches, its O(n) scan costs less than the
+//! syscall itself.
 
 use std::io;
 use std::os::raw::{c_int, c_short};

@@ -231,9 +231,9 @@ fn ci() {
         // Store smoke: a 100k-user shard store exercised end to end —
         // snapshot reload published mid-run from another thread,
         // prefiltered decisions checked against the exhaustive oracle
-        // on every loaded snapshot, newest-shard-wins and heap/mmap
-        // reader agreement pinned. Exits non-zero on the first failed
-        // check.
+        // on every loaded snapshot, newest-shard-wins and margins
+        // bit-identical to an in-memory store of the same users pinned.
+        // Exits non-zero on the first failed check.
         (
             "store smoke (100k-user shards, mid-run reload parity)",
             &[

@@ -35,7 +35,6 @@ use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::features::ImageFeatures;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
-use echoimage_core::template_cache;
 use std::time::Instant;
 
 /// Best-of-`reps` mean nanoseconds per iteration of `f`.
@@ -92,7 +91,6 @@ fn pipeline_stage_snapshot(iters: usize) -> echo_obs::MetricsSnapshot {
         threads: 1,
         ..PipelineConfig::default()
     });
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
     for _ in 0..iters {
@@ -261,7 +259,7 @@ fn main() {
             h.max_ns.unwrap_or(0) as f64 / 1e3,
         );
     }
-    const CACHES: [&str; 2] = ["template_cache", "fft_plan_cache"];
+    const CACHES: [&str; 1] = ["fft_plan_cache"];
     println!("  cache hit rates:");
     let mut cache_json = Vec::new();
     for cache in CACHES {

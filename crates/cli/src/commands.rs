@@ -118,6 +118,13 @@ fn load_captures(path: &str, preroll: usize) -> Result<Vec<BeepCapture>, String>
     let merged = read_wav(path, preroll).map_err(|e| format!("reading {path}: {e}"))?;
     // The simulator's standard window: preroll (10 ms) + 60 ms at 48 kHz.
     let window = ((0.070 * merged.sample_rate()).round() as usize).min(merged.len());
+    if window == 0 {
+        return Err(format!(
+            "{path} holds no beep window ({} samples at {} Hz)",
+            merged.len(),
+            merged.sample_rate()
+        ));
+    }
     Ok(split_windows(&merged, window))
 }
 

@@ -1,5 +1,7 @@
 //! End-to-end tests of the `echoimage` binary.
 
+use echo_sim::wav::write_wav;
+use echo_sim::BeepCapture;
 use std::process::Command;
 
 fn bin() -> &'static str {
@@ -89,4 +91,29 @@ fn range_rejects_garbage_files() {
     assert!(!ok);
     assert!(text.contains("error"));
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn wavs_too_short_to_range_are_typed_errors() {
+    // An empty data chunk, a rate at which 70 ms rounds to no sample,
+    // and a one-sample window: `(name, frames, rate)`.
+    for (name, frames, rate) in [
+        ("empty", 0, 48_000.0),
+        ("1hz", 16, 1.0),
+        ("one_frame", 1, 48_000.0),
+    ] {
+        let path = std::env::temp_dir().join(format!("echoimage_cli_no_window_{name}.wav"));
+        let capture = BeepCapture::new(vec![vec![0.0; frames]; 6], rate, 0);
+        write_wav(&path, &capture, 1.0).unwrap();
+        for command in ["range", "image"] {
+            let out = Command::new(bin())
+                .args([command, path.to_str().unwrap()])
+                .output()
+                .expect("failed to spawn echoimage");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {name}: {stderr}");
+            assert!(stderr.contains("error:"), "{command} {name}: {stderr}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

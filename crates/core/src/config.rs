@@ -190,21 +190,6 @@ impl Default for ImagingConfig {
     }
 }
 
-/// How the MVDR noise covariance `ρ_n` is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CovarianceMode {
-    /// Model-based spherically isotropic diffuse-field coherence at the
-    /// beep centre frequency (deterministic superdirective weights — the
-    /// default, because a biometric needs weights that do not wander
-    /// with each short noise observation).
-    #[default]
-    Isotropic,
-    /// Estimated by pooling the noise-only prerolls of the beep train.
-    Measured,
-    /// Spatially white (MVDR degenerates to delay-and-sum).
-    Identity,
-}
-
 /// Anti-replay spatial check on the imaging path (DESIGN.md §14):
 /// rejects attempts whose acoustic images are too *flat* — the
 /// collapsed-structure signature of a point-source re-emission.
@@ -249,8 +234,6 @@ pub struct PipelineConfig {
     pub imaging: ImagingConfig,
     /// Band-pass filter order (per paper §V-B a 2–3 kHz Butterworth).
     pub bandpass_order: usize,
-    /// Source of the MVDR noise covariance.
-    pub covariance: CovarianceMode,
     /// Channel-health screening thresholds for degraded-mode imaging.
     pub health: HealthConfig,
     /// Anti-replay spatial-coherence screen (off by default).
@@ -270,7 +253,6 @@ impl PipelineConfig {
             distance: DistanceConfig::default(),
             imaging: ImagingConfig::default(),
             bandpass_order: 4,
-            covariance: CovarianceMode::Isotropic,
             health: HealthConfig::default(),
             spatial: SpatialCheckConfig::default(),
             threads: 0,

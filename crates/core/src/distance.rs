@@ -15,13 +15,12 @@
 //! filter, so its group delay cancels — absolute peak positions would be
 //! biased by it.
 
-use crate::config::{DistanceConfig, PipelineConfig};
+use crate::config::{BeepConfig, DistanceConfig, PipelineConfig};
 use crate::error::EchoImageError;
-use crate::template_cache::chirp_template_plan_classified;
 use echo_array::{Direction, MicArray};
 use echo_beamform::{apply_weights, mvdr_weights, SpatialCovariance};
-use echo_dsp::correlate::CorrelationScratch;
-use echo_dsp::hilbert::{analytic_signal_padded, analytic_signal_padded_with, moving_average};
+use echo_dsp::correlate::{CorrelationScratch, MatchedFilterPlan};
+use echo_dsp::hilbert::{analytic_signal, analytic_signal_padded_with, moving_average};
 use echo_dsp::peaks::{find_peaks, strongest_peak_in, Peak};
 use echo_dsp::FftScratch;
 use echo_dsp::{Complex, SPEED_OF_SOUND};
@@ -71,7 +70,24 @@ pub fn estimate_distance(
         .map(|c| analytic_channels(TraceCtx::none(), 0, c))
         .collect();
     let cov = resolve_covariance(captures, array, config);
-    estimate_from_analytic(captures, &analytic, &cov, array, config, TraceCtx::none())
+    let chirp = chirp_plan(&config.beep);
+    estimate_from_analytic(
+        captures,
+        &analytic,
+        &cov,
+        &chirp,
+        array,
+        config,
+        TraceCtx::none(),
+    )
+}
+
+/// The matched-filter plan for `beep`'s analytic chirp template (paper
+/// Eq. 9), which ranging correlates every beamformed beep against. It
+/// depends on the beep alone, so a pipeline builds it once; the plan
+/// transforms the template at each padded length on first use.
+pub(crate) fn chirp_plan(beep: &BeepConfig) -> MatchedFilterPlan {
+    MatchedFilterPlan::new_complex(&analytic_signal(&beep.chirp().samples()))
 }
 
 /// The shape checks ranging needs before any covariance or estimate is
@@ -136,17 +152,16 @@ pub(crate) fn analytic_channels(
 }
 
 /// [`estimate_distance`] over analytic signals already computed by
-/// [`analytic_channels`] (`analytic[l]` belongs to `captures[l]`) and
-/// the train's noise covariance from [`resolve_covariance`], for
-/// captures that passed [`check_train`]. Records a `stage.distance`
-/// trace span under `ctx` (template-cache hit flag, estimated
-/// horizontal distance). The estimator runs on the serial coordinating
-/// path, so the cache-hit attribute is deterministic for a fixed
-/// workload and cache state.
+/// [`analytic_channels`] (`analytic[l]` belongs to `captures[l]`), the
+/// noise covariance from [`resolve_covariance`] and the template plan
+/// from [`chirp_plan`], for captures that passed [`check_train`].
+/// Records a `stage.distance` trace span under `ctx` (beep count,
+/// estimated horizontal distance).
 pub(crate) fn estimate_from_analytic(
     captures: &[BeepCapture],
     analytic: &[Vec<Vec<Complex>>],
     cov: &SpatialCovariance,
+    chirp: &MatchedFilterPlan,
     array: &MicArray,
     config: &PipelineConfig,
     ctx: TraceCtx,
@@ -166,16 +181,8 @@ pub(crate) fn estimate_from_analytic(
     let look = Direction::new(dcfg.azimuth, dcfg.elevation);
     let f0 = config.beep.center_frequency();
     let steering = array.steering_vector(look, f0);
-
-    // Matched-filter plan for the analytic chirp template, shared
-    // process-wide (output bit-identical to the per-call template path).
-    let (chirp_plan, template_hit) = chirp_template_plan_classified(&config.beep);
-    tspan.attr_bool("template_cache_hit", template_hit);
-
-    // One noise covariance for the whole train: pooling every beep's
-    // preroll gives a far stabler estimate than any single 10 ms window,
-    // and the paper's ρ_n is likewise a single background-noise
-    // statistic, not a per-beep one.
+    // One weight vector for the whole train: the paper's ρ_n is a
+    // single background-noise statistic, not a per-beep one.
     let weights = mvdr_weights(cov, &steering)?;
 
     // Accumulate E(t) = (1/L) Σ |E_l(t)|² (Eq. 10). The envelope is read
@@ -186,7 +193,7 @@ pub(crate) fn estimate_from_analytic(
     for channels in analytic {
         let beamformed = apply_weights(channels, &weights);
         // |C_l(t)| of the analytic correlation *is* the envelope E_l(t).
-        let correlation = chirp_plan.matched_filter_complex_with(&beamformed, &mut corr_scratch);
+        let correlation = chirp.matched_filter_complex_with(&beamformed, &mut corr_scratch);
         for (acc, c) in accumulated.iter_mut().zip(&correlation) {
             *acc += c.norm_sqr();
         }
@@ -203,59 +210,29 @@ pub(crate) fn estimate_from_analytic(
     estimate
 }
 
-/// Produces the MVDR noise covariance according to the configured
-/// [`crate::config::CovarianceMode`].
+/// The MVDR noise covariance ρ_n (paper §III-D, §V-B): the array's
+/// spherically isotropic diffuse-field coherence at the beep centre
+/// frequency, loaded by [`ROBUST_LOADING`]. It is a model of the
+/// background noise, not an estimate from it, so the weights do not
+/// wander with each short noise observation and no capture is read.
 pub fn resolve_covariance(
-    captures: &[BeepCapture],
+    _captures: &[BeepCapture],
     array: &MicArray,
     config: &PipelineConfig,
 ) -> SpatialCovariance {
-    use crate::config::CovarianceMode;
-    match config.covariance {
-        CovarianceMode::Isotropic => SpatialCovariance::isotropic(
-            array,
-            config.beep.center_frequency(),
-            SPEED_OF_SOUND,
-            ROBUST_LOADING,
-        ),
-        CovarianceMode::Measured => noise_covariance(captures),
-        CovarianceMode::Identity => SpatialCovariance::identity(array.len()),
-    }
+    SpatialCovariance::isotropic(
+        array,
+        config.beep.center_frequency(),
+        SPEED_OF_SOUND,
+        ROBUST_LOADING,
+    )
 }
 
-/// Pools the (clean first half of the) noise-only prerolls of every
-/// capture into one spatial covariance estimate.
-///
-/// Only the first half of each preroll is used: zero-phase band-passing
-/// smears the strong direct chirp a little way backwards in time, and a
-/// signal-contaminated covariance would make MVDR cancel the very echoes
-/// being ranged (signal self-cancellation).
-pub fn noise_covariance(captures: &[BeepCapture]) -> SpatialCovariance {
-    let m = captures.first().map_or(1, |c| c.num_channels());
-    let mut pooled: Vec<Vec<Complex>> = vec![Vec::new(); m];
-    for capture in captures {
-        let clean = capture.preroll() / 2;
-        if clean < 32 {
-            continue;
-        }
-        for (ch, pool) in pooled.iter_mut().enumerate() {
-            let analytic = analytic_signal_padded(&capture.channel(ch)[..capture.preroll()]);
-            pool.extend_from_slice(&analytic[..clean]);
-        }
-    }
-    if pooled[0].len() < 32 {
-        SpatialCovariance::identity(m)
-    } else {
-        // Robust-MVDR loading: in-band diffuse noise on a small aperture
-        // yields a near-singular coherence matrix whose inverse is
-        // superdirective — sharp accidental nulls right next to the look
-        // direction. Heavy diagonal loading trades a little noise
-        // suppression for a well-behaved beam.
-        SpatialCovariance::from_snapshots(&pooled, ROBUST_LOADING)
-    }
-}
-
-/// Diagonal loading used for the pooled noise covariance (robust MVDR).
+/// Diagonal loading of the noise covariance (robust MVDR). In-band
+/// diffuse noise on a small aperture yields a near-singular coherence
+/// matrix whose inverse is superdirective, with sharp accidental nulls
+/// right next to the look direction. Heavy loading trades a little
+/// noise suppression for a well-behaved beam.
 pub const ROBUST_LOADING: f64 = 0.05;
 
 /// Peak logic shared with diagnostics: finds τ₁ and τ_w′ in an envelope

@@ -17,10 +17,10 @@
 //!   once per beep and shares it between ranging and every plane it
 //!   images.
 //! * **Weights.** The MVDR (or delay-and-sum) weights depend only on the
-//!   sweep geometry and the train's noise covariance, so they are
-//!   designed once per (train, plane) into one flat table, cells in
-//!   pixel order. The design steers the array at each cell straight
-//!   from the geometry and keeps nothing else but the cell distances.
+//!   sweep geometry and the noise covariance, so they are designed once
+//!   per (train, plane) into one flat table, cells in pixel order. The
+//!   design steers the array at each cell straight from the geometry
+//!   and keeps nothing else but the cell distances.
 //! * **Pixels.** A pixel is the energy of the real beamformed signal
 //!   `Re Σ_m conj(w_m)·x_m[t]` over the cell's gate, and that energy is a
 //!   quadratic form of the gate's real sample Gram matrix. One
@@ -77,9 +77,9 @@ pub fn construct_image(
     construct_image_with_covariance(capture, array, horizontal_distance, &cov, config)
 }
 
-/// [`construct_image`] with an explicit noise covariance — used when one
-/// covariance has been pooled over a whole beep train, which keeps the
-/// MVDR weights (and therefore the image) stable from beep to beep.
+/// [`construct_image`] with an explicit noise covariance, for a caller
+/// that computed [`crate::distance::resolve_covariance`] once for a
+/// whole beep train.
 ///
 /// Computes the beep's analytic signal and the plane's weights itself,
 /// exactly as the pipeline does once per beep and once per plane, so the

@@ -58,7 +58,6 @@ pub mod par;
 pub mod pipeline;
 pub mod spatial;
 pub mod store;
-pub mod template_cache;
 
 pub use auth::{AuthDecision, Authenticator};
 pub use config::{BeepConfig, ImagingConfig, PipelineConfig};

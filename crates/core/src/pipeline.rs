@@ -13,10 +13,12 @@ use crate::health::ChannelHealth;
 use crate::imaging::{construct_image, image_beep, PlaneWeights};
 use crate::par::parallel_map_indexed;
 use echo_array::MicArray;
+use echo_dsp::correlate::MatchedFilterPlan;
 use echo_dsp::filter::SosFilter;
 use echo_ml::GrayImage;
 use echo_obs::{TraceCtx, TraceSpan};
 use echo_sim::BeepCapture;
+use std::sync::Arc;
 
 /// The assembled EchoImage processing pipeline.
 ///
@@ -43,6 +45,7 @@ pub struct EchoImagePipeline {
     array: MicArray,
     features: ImageFeatures,
     bandpass: SosFilter,
+    chirp: Arc<MatchedFilterPlan>,
 }
 
 /// One beep train to image, and how: the request
@@ -106,11 +109,13 @@ impl EchoImagePipeline {
             config.beep.f_end,
             config.beep.sample_rate,
         );
+        let chirp = Arc::new(crate::distance::chirp_plan(&config.beep));
         EchoImagePipeline {
             config,
             array,
             features: ImageFeatures::new(),
             bandpass,
+            chirp,
         }
     }
 
@@ -249,16 +254,13 @@ impl EchoImagePipeline {
             })
             .into_iter()
             .unzip();
-        // One covariance for the whole train, shared by ranging and
-        // every imaging plane, keeps the MVDR weights identical across
-        // beeps, so image variation reflects the user, not the
-        // covariance estimator.
         crate::distance::check_train(&filtered, &self.array)?;
         let cov = crate::distance::resolve_covariance(&filtered, &self.array, &self.config);
         let estimate = crate::distance::estimate_from_analytic(
             &filtered,
             &analytic,
             &cov,
+            &self.chirp,
             &self.array,
             &self.config,
             ctx,

@@ -1,8 +1,8 @@
 //! Bit-level determinism of the batched feature path.
 //!
-//! The im2col+GEMM forward pass, the batched extractors, the FFT plan
-//! cache, and the chirp-template cache are all claimed bit-identical to
-//! their serial / per-call counterparts. These tests hold the claims to
+//! The im2col+GEMM forward pass, the batched extractors and the FFT
+//! plan cache are all claimed bit-identical to their serial / per-call
+//! counterparts. These tests hold the claims to
 //! `f64::to_bits` equality, because an enrolment template must not
 //! depend on core count, batch size, or warm caches.
 //!
@@ -15,7 +15,6 @@ use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::features::ImageFeatures;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
-use echoimage_core::template_cache;
 
 /// Worker threads for the path under test (`ECHOIMAGE_THREADS`,
 /// default auto).
@@ -98,15 +97,15 @@ fn train_features_match_serial_reference_end_to_end() {
 }
 
 #[test]
-fn distance_is_bit_identical_across_template_cache_states() {
+fn distance_is_bit_identical_across_fft_plan_cache_states() {
     let scene = Scene::new(SceneConfig::laboratory_quiet(13));
     let body = BodyModel::from_seed(5);
     let caps = scene.capture_train(&body, &Placement::standing_front(0.8), 0, 2, 0);
     let pipeline = EchoImagePipeline::new(config(pool_threads()));
 
-    template_cache::clear_template_cache();
+    echo_dsp::plan::clear_plan_cache();
     let cold = pipeline.estimate_distance(&caps).unwrap();
-    assert!(template_cache::template_cache_len() >= 1, "plan was cached");
+    assert!(echo_dsp::plan::plan_cache_len() >= 1, "plans were cached");
     let warm = pipeline.estimate_distance(&caps).unwrap();
 
     assert_eq!(

@@ -22,7 +22,7 @@ use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::enrollment::{enroll_features, EnrollRequest, EnrollmentConfig};
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
-use echoimage_core::{template_cache, EchoImageError};
+use echoimage_core::EchoImageError;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -30,7 +30,6 @@ static LOCK: Mutex<()> = Mutex::new(());
 /// metrics registry, so each test observes only its own events.
 fn guard() -> MutexGuard<'static, ()> {
     let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::set_enabled(true);
     echo_obs::reset();
@@ -106,7 +105,6 @@ fn counters_identical_across_thread_counts() {
     let serial_metrics = deterministic_metrics();
 
     // Fresh cold start for the pooled run: same workload, same caches.
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
 
@@ -168,37 +166,32 @@ fn weights_are_designed_once_per_train_plane() {
 }
 
 #[test]
-fn template_and_plan_caches_count_exactly_cold_then_warm() {
+fn plan_cache_counts_exactly_cold_then_warm() {
     let _g = guard();
     let caps = capture_train(2);
     let pipeline = EchoImagePipeline::new(config(pool_threads()));
     echo_obs::reset();
 
-    // Cold: one beep design → exactly one template miss; every FFT
-    // length misses once.
+    // Cold: every FFT length misses once.
     pipeline.estimate_distance(&caps).unwrap();
     let cold = deterministic_metrics();
-    assert_eq!(cold.get("template_cache.miss"), Some(&1), "{cold:?}");
     let cold_plan_misses = *cold.get("fft_plan_cache.miss").unwrap_or(&0);
     assert!(cold_plan_misses >= 1, "{cold:?}");
 
-    // Warm: the template is a pure hit and no new plan is built.
+    // Warm: no new plan is built.
     echo_obs::reset();
     pipeline.estimate_distance(&caps).unwrap();
     let warm = deterministic_metrics();
-    assert_eq!(warm.get("template_cache.miss"), None, "{warm:?}");
-    assert_eq!(warm.get("template_cache.hit"), Some(&1), "{warm:?}");
     assert_eq!(warm.get("fft_plan_cache.miss"), None, "{warm:?}");
-    // Cold and warm runs issue the same number of lookups per cache.
-    // (Not true of the FFT-plan cache: building a template plan on a
-    // cold miss issues nested `fft_plan` lookups the warm path skips.)
-    let lookups = |m: &BTreeMap<String, u64>, cache: &str| {
-        m.get(&format!("{cache}.hit")).unwrap_or(&0) + m.get(&format!("{cache}.miss")).unwrap_or(&0)
+    // Cold and warm runs issue the same number of plan lookups: a warm
+    // cache turns misses into hits and skips no lookup.
+    let lookups = |m: &BTreeMap<String, u64>| {
+        m.get("fft_plan_cache.hit").unwrap_or(&0) + m.get("fft_plan_cache.miss").unwrap_or(&0)
     };
     assert_eq!(
-        lookups(&cold, "template_cache"),
-        lookups(&warm, "template_cache"),
-        "template_cache lookup count changed between cold and warm runs"
+        lookups(&cold),
+        lookups(&warm),
+        "fft_plan_cache lookup count changed between cold and warm runs"
     );
 }
 
@@ -221,7 +214,6 @@ fn degraded_path_counters_identical_across_thread_counts() {
     assert!(!health.all_healthy(), "the dead channel must be flagged");
     let serial_metrics = deterministic_metrics();
 
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
 
@@ -308,7 +300,6 @@ fn disabled_registry_records_nothing_from_the_pipeline() {
 
     // Disabling observability must not change the pipeline's output.
     echo_obs::set_enabled(true);
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     let enabled = EchoImagePipeline::new(config(pool_threads()))
         .features_from_train(&caps)

@@ -26,7 +26,6 @@ use echoimage_core::config::{ImagingConfig, SpatialCheckConfig};
 use echoimage_core::enrollment::{self, EnrollRequest, EnrollmentConfig};
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig, TrainRequest};
 use echoimage_core::store::{self, IdentifyConfig, MemoryStore, TemplateBuilder};
-use echoimage_core::template_cache;
 
 const GOLDEN: &str = include_str!("route_shapes.golden");
 
@@ -91,7 +90,6 @@ fn golden(route: &str) -> Option<String> {
 /// recorder, and appends its section to `moved` when it no longer
 /// matches the golden.
 fn check(moved: &mut String, route: &str, run: impl FnOnce()) {
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
     echo_obs::reset_traces();

@@ -22,7 +22,6 @@ use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::auth::{AuthAttempt, Authenticator};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
-use echoimage_core::template_cache;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -41,7 +40,6 @@ impl Drop for Armed {
 
 fn guard() -> Armed {
     let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::set_enabled(true);
     echo_obs::reset();
@@ -183,7 +181,6 @@ fn parity_digest_is_recorded() {
 
     // Self-check: the canonical workload must be reproducible within
     // one process, otherwise the cross-process comparison means nothing.
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
     echo_obs::reset();
     echo_obs::reset_traces();

@@ -24,7 +24,6 @@ use echo_sim::{BodyModel, Placement, Scene, SceneConfig, SpoofPlan};
 use echoimage_core::auth::{AuthDecision, Authenticator};
 use echoimage_core::config::SpatialCheckConfig;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
-use echoimage_core::template_cache;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -46,7 +45,6 @@ fn guard() -> Armed {
 }
 
 fn clear_caches() {
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
 }
 

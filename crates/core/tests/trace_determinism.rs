@@ -6,9 +6,8 @@
 //! index), sequence numbers come from the canonical depth-first walk,
 //! and audit records describe decisions, not schedules. These tests pin
 //! the contract: identical span trees, sequence numbers and audit
-//! records across worker-thread counts, cold/warm caches (structure
-//! only — cache-hit attributes legitimately differ), sampling rates
-//! (a sampled run is the exact kept-subset of the full run), and the
+//! records across worker-thread counts, cold/warm caches, sampling
+//! rates (a sampled run is the exact kept-subset of the full run), and the
 //! disabled recorder (zero events, bit-identical pipeline output).
 //!
 //! The recorder and the process caches are global, so every test
@@ -22,7 +21,6 @@ use echo_sim::{BodyModel, Placement, Scene, SceneConfig};
 use echoimage_core::auth::{AuthAttempt, Authenticator};
 use echoimage_core::config::ImagingConfig;
 use echoimage_core::pipeline::{EchoImagePipeline, PipelineConfig};
-use echoimage_core::template_cache;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -53,7 +51,6 @@ fn guard() -> Armed {
 }
 
 fn clear_caches() {
-    template_cache::clear_template_cache();
     echo_dsp::plan::clear_plan_cache();
 }
 
@@ -93,12 +90,6 @@ fn span_identity(ev: &SpanEvent) -> (u64, u64, u64, u64, &'static str, u64, Stri
         ev.lidx,
         format!("{:?}", ev.attrs),
     )
-}
-
-/// Structure only: the tree shape without attributes, for comparisons
-/// where cache-hit attributes legitimately differ (cold vs warm).
-fn span_shape(ev: &SpanEvent) -> (u64, u64, u64, u64, &'static str, u64) {
-    (ev.trace, ev.seq, ev.span, ev.parent, ev.name, ev.lidx)
 }
 
 fn assert_features_bit_identical(a: &[Vec<f64>], b: &[Vec<f64>]) {
@@ -152,7 +143,7 @@ fn span_trees_identical_across_thread_counts() {
 }
 
 #[test]
-fn warm_caches_change_attributes_but_not_structure() {
+fn warm_caches_do_not_change_the_trace() {
     let _g = guard();
     let caps = capture_train(2);
     let pipeline = EchoImagePipeline::new(config(pool_threads()));
@@ -165,26 +156,12 @@ fn warm_caches_change_attributes_but_not_structure() {
     pipeline.features_from_train(&caps).unwrap();
     let warm = echo_obs::take_spans();
 
-    let cold_shape: Vec<_> = cold.iter().map(span_shape).collect();
-    let warm_shape: Vec<_> = warm.iter().map(span_shape).collect();
+    let cold_tree: Vec<_> = cold.iter().map(span_identity).collect();
+    let warm_tree: Vec<_> = warm.iter().map(span_identity).collect();
     assert_eq!(
-        cold_shape, warm_shape,
-        "cache state must not change the span tree"
+        cold_tree, warm_tree,
+        "cache state must not change the trace"
     );
-    // The distance stage carries the template-cache attribute: a miss
-    // cold, a hit warm.
-    let template_hit = |spans: &[SpanEvent]| {
-        spans
-            .iter()
-            .find(|s| s.name == "stage.distance")
-            .and_then(|s| {
-                s.attrs
-                    .iter()
-                    .find_map(|(k, v)| (*k == "template_cache_hit").then(|| format!("{v:?}")))
-            })
-    };
-    assert_eq!(template_hit(&cold).as_deref(), Some("Bool(false)"));
-    assert_eq!(template_hit(&warm).as_deref(), Some("Bool(true)"));
 }
 
 #[test]

@@ -86,7 +86,8 @@ pub fn analytic_signal_padded_with(signal: &[f64], scratch: &mut FftScratch) -> 
     spec.resize(size, Complex::ZERO);
     plan.fft_with(&mut spec, scratch);
     let half = size / 2;
-    for x in &mut spec[1..half] {
+    // A one-sample signal has `half = 0`, and its one bin is DC.
+    for x in &mut spec[1..half.max(1)] {
         *x *= 2.0;
     }
     spec[half + 1..].fill(Complex::ZERO);
@@ -261,6 +262,14 @@ mod tests {
                 padded[i].abs()
             );
         }
+    }
+
+    #[test]
+    fn padded_variant_of_one_sample_is_that_sample() {
+        let padded = analytic_signal_padded(&[0.25]);
+        assert_eq!(padded.len(), 1);
+        assert_eq!(padded[0].re, 0.25);
+        assert_eq!(padded[0].im, 0.0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`gram`] — gated real-beam energies from running Gram sums, the
 //!   acoustic-image pixel kernel (paper §V-C),
 //! * [`plan`] — precomputed, LRU-cached FFT plans shared by the hot paths,
-//! * [`slot_cache`] — the process-wide MRU cache behind every plan, steering
-//!   and template cache (classify under the lock, compute outside it),
+//! * [`slot_cache`] — the process-wide MRU cache behind the FFT-plan cache
+//!   (classify under the lock, compute outside it),
 //! * [`peaks`] — local-maxima search used for echo detection (paper §V-B),
 //! * [`interp`] — fractional-delay interpolation used by the scene simulator,
 //! * [`stats`] — small numeric helpers shared across crates.

@@ -1,5 +1,5 @@
-//! A small process-wide MRU cache of computed values, shared by the FFT
-//! plan and chirp-template caches.
+//! A small process-wide MRU cache of computed values, behind the FFT
+//! plan cache.
 //!
 //! A lookup classifies under the lock and computes outside it: a miss
 //! publishes an empty slot for its key before releasing the lock, so

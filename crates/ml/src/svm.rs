@@ -58,80 +58,7 @@ impl SvmBinary {
         );
 
         let n = xs.len();
-        let k = kernel.gram(xs);
-        let mut alpha = vec![0.0f64; n];
-        // g_i = Σ_j α_j y_j K_ij (decision value without bias).
-        let mut g = vec![0.0f64; n];
-
-        let max_iter = MAX_ITER_FACTOR * n.max(100);
-        for _ in 0..max_iter {
-            // Maximal violating pair over
-            //   I_up  = {α<C, y=+1} ∪ {α>0, y=−1}
-            //   I_low = {α<C, y=−1} ∪ {α>0, y=+1}
-            // using scores s_i = −y_i ∇_i = y_i − g_i (−E_i):
-            // maximise on I_up, minimise on I_low.
-            let mut i_up: Option<(usize, f64)> = None;
-            let mut i_low: Option<(usize, f64)> = None;
-            for t in 0..n {
-                let s = ys[t] - g[t];
-                let in_up = (ys[t] > 0.0 && alpha[t] < c) || (ys[t] < 0.0 && alpha[t] > 0.0);
-                let in_low = (ys[t] < 0.0 && alpha[t] < c) || (ys[t] > 0.0 && alpha[t] > 0.0);
-                if in_up && i_up.is_none_or(|(_, best)| s > best) {
-                    i_up = Some((t, s));
-                }
-                if in_low && i_low.is_none_or(|(_, best)| s < best) {
-                    i_low = Some((t, s));
-                }
-            }
-            let (i, m_up) = match i_up {
-                Some(v) => v,
-                None => break,
-            };
-            let (j, m_low) = match i_low {
-                Some(v) => v,
-                None => break,
-            };
-            if m_up - m_low < TOL {
-                break;
-            }
-
-            // Two-variable analytic update (Platt).
-            let (yi, yj) = (ys[i], ys[j]);
-            let (ei, ej) = (g[i] - yi, g[j] - yj);
-            let eta = k[i][i] + k[j][j] - 2.0 * k[i][j];
-            if eta <= 1e-12 {
-                // Degenerate pair; nudge via a tiny step to avoid cycling.
-                break;
-            }
-            let (lo, hi) = if (yi - yj).abs() > 1e-12 {
-                (
-                    (alpha[j] - alpha[i]).max(0.0),
-                    (c + alpha[j] - alpha[i]).min(c),
-                )
-            } else {
-                (
-                    (alpha[i] + alpha[j] - c).max(0.0),
-                    (alpha[i] + alpha[j]).min(c),
-                )
-            };
-            if hi - lo < 1e-12 {
-                continue;
-            }
-            let aj_old = alpha[j];
-            let ai_old = alpha[i];
-            let aj_new = (aj_old + yj * (ei - ej) / eta).clamp(lo, hi);
-            let ai_new = ai_old + yi * yj * (aj_old - aj_new);
-            if (aj_new - aj_old).abs() < 1e-14 {
-                continue;
-            }
-            alpha[i] = ai_new;
-            alpha[j] = aj_new;
-            let di = yi * (ai_new - ai_old);
-            let dj = yj * (aj_new - aj_old);
-            for t in 0..n {
-                g[t] += di * k[i][t] + dj * k[j][t];
-            }
-        }
+        let (alpha, g, _) = smo(&kernel.gram(xs), ys, c);
 
         // Bias from free support vectors (0 < α < C), falling back to the
         // midpoint of the KKT interval.
@@ -279,6 +206,91 @@ impl SvmMulticlass {
     }
 }
 
+/// Sequential Minimal Optimization over the C-SVC dual of the Gram
+/// matrix `k`. Returns α, the bias-free decision values
+/// `g_i = Σ_j α_j y_j K_ij`, and the number of iterations run.
+fn smo(k: &[Vec<f64>], ys: &[f64], c: f64) -> (Vec<f64>, Vec<f64>, usize) {
+    let n = ys.len();
+    let mut alpha = vec![0.0f64; n];
+    // g_i = Σ_j α_j y_j K_ij (decision value without bias).
+    let mut g = vec![0.0f64; n];
+
+    let max_iter = MAX_ITER_FACTOR * n.max(100);
+    let mut iterations = 0;
+    while iterations < max_iter {
+        iterations += 1;
+        // Maximal violating pair over
+        //   I_up  = {α<C, y=+1} ∪ {α>0, y=−1}
+        //   I_low = {α<C, y=−1} ∪ {α>0, y=+1}
+        // using scores s_i = −y_i ∇_i = y_i − g_i (−E_i):
+        // maximise on I_up, minimise on I_low.
+        let mut i_up: Option<(usize, f64)> = None;
+        let mut i_low: Option<(usize, f64)> = None;
+        for t in 0..n {
+            let s = ys[t] - g[t];
+            let in_up = (ys[t] > 0.0 && alpha[t] < c) || (ys[t] < 0.0 && alpha[t] > 0.0);
+            let in_low = (ys[t] < 0.0 && alpha[t] < c) || (ys[t] > 0.0 && alpha[t] > 0.0);
+            if in_up && i_up.is_none_or(|(_, best)| s > best) {
+                i_up = Some((t, s));
+            }
+            if in_low && i_low.is_none_or(|(_, best)| s < best) {
+                i_low = Some((t, s));
+            }
+        }
+        let (i, m_up) = match i_up {
+            Some(v) => v,
+            None => break,
+        };
+        let (j, m_low) = match i_low {
+            Some(v) => v,
+            None => break,
+        };
+        if m_up - m_low < TOL {
+            break;
+        }
+
+        // Two-variable analytic update (Platt).
+        let (yi, yj) = (ys[i], ys[j]);
+        let (ei, ej) = (g[i] - yi, g[j] - yj);
+        let eta = k[i][i] + k[j][j] - 2.0 * k[i][j];
+        if eta <= 1e-12 {
+            // Degenerate pair; nudge via a tiny step to avoid cycling.
+            break;
+        }
+        let (lo, hi) = if (yi - yj).abs() > 1e-12 {
+            (
+                (alpha[j] - alpha[i]).max(0.0),
+                (c + alpha[j] - alpha[i]).min(c),
+            )
+        } else {
+            (
+                (alpha[i] + alpha[j] - c).max(0.0),
+                (alpha[i] + alpha[j]).min(c),
+            )
+        };
+        // An empty box or a vanishing step leaves α and g unchanged, so
+        // every later iteration would select this pair again: stop.
+        if hi - lo < 1e-12 {
+            break;
+        }
+        let aj_old = alpha[j];
+        let ai_old = alpha[i];
+        let aj_new = (aj_old + yj * (ei - ej) / eta).clamp(lo, hi);
+        let ai_new = ai_old + yi * yj * (aj_old - aj_new);
+        if (aj_new - aj_old).abs() < 1e-14 {
+            break;
+        }
+        alpha[i] = ai_new;
+        alpha[j] = aj_new;
+        let di = yi * (ai_new - ai_old);
+        let dj = yj * (aj_new - aj_old);
+        for t in 0..n {
+            g[t] += di * k[i][t] + dj * k[j][t];
+        }
+    }
+    (alpha, g, iterations)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +395,26 @@ mod tests {
         let svm = SvmMulticlass::train(&xs, &ys, Kernel::Linear, 1.0);
         assert_eq!(svm.predict(&[-2.0, 0.0]), 7);
         assert_eq!(svm.predict(&[2.0, 0.0]), 42);
+    }
+
+    #[test]
+    fn solver_stops_when_the_selected_pair_cannot_move() {
+        // Eight overlapping points, linear kernel, C = 10: the maximal
+        // violating pair's step rounds to nothing after a few
+        // iterations while the KKT gap is still above `TOL`.
+        let xs = vec![
+            vec![1.2, 0.4, 0.3],
+            vec![0.2, -0.1, 0.8],
+            vec![1.9, 0.4, -0.6],
+            vec![-2.0, -0.6, -0.7],
+            vec![0.9, -1.9, 1.1],
+            vec![1.1, -1.9, 0.3],
+            vec![-0.3, 1.4, 0.7],
+            vec![-1.1, 0.8, -1.9],
+        ];
+        let ys = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
+        let (_, _, iterations) = smo(&Kernel::Linear.gram(&xs), &ys, 10.0);
+        assert!(iterations < 300, "ran {iterations} iterations");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 ///
 /// Layout: `channels[m][n]` is sample `n` of microphone `m`. The first
 /// [`BeepCapture::preroll`] samples are noise-only (captured before the
-/// beep was emitted) — the MVDR stage estimates its noise covariance from
-/// them. The beep leaves the speaker at sample index `preroll`.
+/// beep was emitted) — ranging reads its matched-filter noise floor
+/// there. The beep leaves the speaker at sample index `preroll`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BeepCapture {
     channels: Vec<Vec<f64>>,

@@ -35,7 +35,7 @@ pub struct SceneConfig {
     pub chirp: LfmChirp,
     /// Seconds of post-beep capture (must cover the echo period).
     pub capture_window: f64,
-    /// Seconds of noise-only preroll (used for covariance estimation).
+    /// Seconds of noise-only preroll (ranging reads its noise floor there).
     pub preroll: f64,
     /// Microphone self-noise floor, dB SPL equivalent.
     pub mic_noise_spl: f64,

@@ -87,10 +87,13 @@ pub fn trace_report(args: &[String]) {
 
 /// Splits a JSONL document into decoded spans and audits, skipping
 /// blank lines. Unknown `"type"` values are an error — the file is not
-/// a flight-recorder trace.
+/// a flight-recorder trace. So is a span id that repeats within its
+/// trace: the recorder derives ids from (parent, name, logical index),
+/// so they are unique, and the critical-path walk relies on it.
 fn parse_jsonl(text: &str) -> Result<(Vec<Span>, Vec<Audit>), String> {
     let mut spans = Vec::new();
     let mut audits = Vec::new();
+    let mut span_lines: BTreeMap<(u64, u64), usize> = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -104,7 +107,18 @@ fn parse_jsonl(text: &str) -> Result<(Vec<Span>, Vec<Audit>), String> {
             })
             .ok_or_else(|| format!("line {}: missing \"type\"", lineno + 1))?;
         match kind {
-            "span" => spans.push(decode_span(&doc, lineno + 1)?),
+            "span" => {
+                let span = decode_span(&doc, lineno + 1)?;
+                if let Some(first) = span_lines.insert((span.trace, span.span), lineno + 1) {
+                    return Err(format!(
+                        "line {}: span {:016x} of trace {} repeats line {first}",
+                        lineno + 1,
+                        span.span,
+                        span.trace
+                    ));
+                }
+                spans.push(span);
+            }
             "audit" => audits.push(decode_audit(&doc, lineno + 1)?),
             other => return Err(format!("line {}: unknown type `{other}`", lineno + 1)),
         }
@@ -452,4 +466,32 @@ fn trace_report_selftest() {
         "rejected audit surfaces its reason"
     );
     println!("trace-report selftest passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A span line with id `…aa` in `trace`, under `parent` (a quoted
+    /// hex id or `null`).
+    fn span_aa(trace: u64, parent: &str) -> String {
+        format!(
+            "{{\"type\":\"span\",\"trace\":{trace},\"seq\":0,\"span\":\"00000000000000aa\",\
+             \"parent\":{parent},\"name\":\"auth.train\",\"lidx\":0,\"start_ns\":0,\
+             \"dur_ns\":10,\"attrs\":{{}}}}\n"
+        )
+    }
+
+    #[test]
+    fn repeated_span_ids_are_an_error() {
+        // A root `…aa` and a span `…aa` that names itself as parent: the
+        // critical-path walk would follow it forever.
+        let jsonl = span_aa(1, "null") + &span_aa(1, "\"00000000000000aa\"");
+        let err = parse_jsonl(&jsonl).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        assert!(err.contains("repeats line 1"), "{err}");
+        // The same id in another trace is another span.
+        let (spans, _) = parse_jsonl(&(span_aa(1, "null") + &span_aa(2, "null"))).unwrap();
+        assert_eq!(spans.len(), 2);
+    }
 }

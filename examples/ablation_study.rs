@@ -1,7 +1,6 @@
 //! Quality-side ablations of EchoImage's design choices (per-stage
 //! runtime is measured by the `feature_bench` binary):
 //!
-//! * beamformed MVDR ranging vs a single microphone,
 //! * MVDR vs delay-and-sum imaging — does the image stay as
 //!   user-discriminative?
 //! * frozen-CNN features vs raw downsampled pixels,
@@ -97,36 +96,5 @@ fn main() {
             "  {label:<11}: intra {intra:.3}, inter {inter:.3}, ratio {:.3}",
             intra / inter
         );
-    }
-
-    // ── Ablation 4: beamformed vs single-microphone ranging ─────────
-    println!("\nablation 4 — ranging front-end (error across 4 visits):");
-    {
-        // Beamformed (the paper's design) vs using channel 0 alone via a
-        // pipeline with a single-mic \"array\" is not geometrically
-        // comparable, so compare MVDR vs identity-covariance (DAS).
-        use echoimage::core::config::CovarianceMode;
-        for (label, mode) in [
-            ("MVDR (isotropic ρ)", CovarianceMode::Isotropic),
-            ("delay-and-sum", CovarianceMode::Identity),
-        ] {
-            let cfg = PipelineConfig {
-                covariance: mode,
-                ..PipelineConfig::default()
-            };
-            let p = EchoImagePipeline::new(cfg);
-            let mut errs = Vec::new();
-            for trial in 0..4 {
-                let caps = scene.capture_train(&alice, &placement, trial, 8, trial as u64 * 7_000);
-                if let Ok(est) = p.estimate_distance(&caps) {
-                    errs.push((est.horizontal_distance - 0.7).abs());
-                }
-            }
-            let mean = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
-            println!(
-                "  {label:<20}: mean |error| {mean:.3} m over {} successful runs",
-                errs.len()
-            );
-        }
     }
 }

@@ -56,6 +56,9 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
     let user: u64 = opts.get("user", 1)?;
     let distance: f64 = opts.get("distance", 0.7)?;
     let beeps: usize = opts.get("beeps", 1)?;
+    if beeps == 0 {
+        return Err("--beeps must be at least 1: a capture needs a beep".into());
+    }
     let out = opts.get_string("out", "capture.wav");
 
     let scene = Scene::new(SceneConfig::laboratory_quiet(seed));

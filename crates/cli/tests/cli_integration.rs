@@ -117,3 +117,21 @@ fn wavs_too_short_to_range_are_typed_errors() {
         std::fs::remove_file(&path).ok();
     }
 }
+
+#[test]
+fn simulate_without_beeps_is_a_typed_error() {
+    // Both render paths: a user's beep train and an empty room.
+    for user in ["1", "0"] {
+        let wav = std::env::temp_dir().join(format!("echoimage_cli_no_beeps_{user}.wav"));
+        std::fs::remove_file(&wav).ok();
+        let out = Command::new(bin())
+            .args(["simulate", "--user", user, "--beeps", "0", "--out"])
+            .arg(&wav)
+            .output()
+            .expect("failed to spawn echoimage");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--user {user}: {stderr}");
+        assert!(stderr.contains("error:"), "--user {user}: {stderr}");
+        assert!(!wav.exists(), "--user {user}: wrote {}", wav.display());
+    }
+}

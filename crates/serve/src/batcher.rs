@@ -3,13 +3,15 @@
 //!
 //! Feature extraction dominates the serving cost and
 //! [`ImageFeatures::extract_batch_threaded`] amortises its scratch
-//! setup across a batch, so the scheduler's job is to trade a bounded
-//! slice of latency for throughput: it holds the oldest queued request
-//! at most [`ServeConfig::batch_window`] hoping more arrive, and
-//! flushes immediately once [`ServeConfig::max_batch`] requests are
-//! queued. Under light load the window expires with a batch of one
-//! (latency ≈ window); under heavy load the size trigger fires first
-//! and the window never adds latency at all.
+//! setup across a batch. By default the scheduler is work-conserving:
+//! it flushes as soon as it is free, taking every job queued by then
+//! up to [`ServeConfig::max_batch`]. Batches still form, from the
+//! requests that arrive while a flush runs, so under light load a
+//! request waits for no one and under heavy load flushes fill to the
+//! ceiling. A non-zero [`ServeConfig::batch_window`] instead holds the
+//! oldest queued request up to that long hoping more arrive, unless
+//! `max_batch` requests are queued first; under light load that window
+//! expires with a batch of one, so it only adds latency.
 //!
 //! One flush concatenates every job's images into a single extraction
 //! call, then walks the jobs **in queue order** to decide each one.

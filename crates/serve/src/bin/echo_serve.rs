@@ -5,6 +5,10 @@
 //!            [--queue-bound N] [--threads N] [--prom-out PATH]
 //! ```
 //!
+//! The batching knobs default to [`ServeConfig::default`]: a zero
+//! window (the batcher flushes as soon as it is free), flushes of at
+//! most 32 requests and 256 queued jobs per tenant.
+//!
 //! Every knob is validated before the socket is bound; a bad flag is a
 //! one-line typed error on stderr and a non-zero exit, never a panic.
 
@@ -41,9 +45,10 @@ fn run() -> Result<(), String> {
     let tcp = flag_value(&mut args, "--tcp");
     let unix = flag_value(&mut args, "--unix");
     let prom_out = flag_value(&mut args, "--prom-out");
-    let window_us: u64 = parse_flag(&mut args, "--window-us", 3_000)?;
-    let max_batch: usize = parse_flag(&mut args, "--max-batch", 32)?;
-    let queue_bound: usize = parse_flag(&mut args, "--queue-bound", 256)?;
+    let d = ServeConfig::default();
+    let window_us: u64 = parse_flag(&mut args, "--window-us", d.batch_window.as_micros() as u64)?;
+    let max_batch: usize = parse_flag(&mut args, "--max-batch", d.max_batch)?;
+    let queue_bound: usize = parse_flag(&mut args, "--queue-bound", d.queue_bound)?;
     let threads = match flag_value(&mut args, "--threads") {
         Some(v) => echoimage_core::par::parse_threads(&v).map_err(|e| e.to_string())?,
         None => echoimage_core::par::threads_from_env().map_err(|e| e.to_string())?,

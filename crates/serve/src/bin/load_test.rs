@@ -8,6 +8,13 @@
 //!           [--metrics-out PATH] [--quick] [--connect ADDR]
 //! ```
 //!
+//! The in-process daemon's batching knobs default to
+//! [`ServeConfig::default`]: a zero window (the batcher flushes as soon
+//! as it is free), flushes of at most 32 requests and 256 queued jobs
+//! per tenant. `decided_qps` in the report counts the requests the
+//! daemon decided per second; `achieved_qps` counts every session,
+//! shed and errored ones included.
+//!
 //! By default the server runs in-process on an ephemeral TCP port;
 //! `--connect ADDR` drives an already-running daemon instead. Either
 //! way the reported latency and batching numbers come from **`Stats`
@@ -70,9 +77,10 @@ fn run() -> Result<bool, String> {
     };
     spec.tenants = spec.tenants.max(1);
     spec.users_per_tenant = spec.users_per_tenant.max(1);
-    let window_us: u64 = parse_flag(&mut args, "--window-us", 3_000)?;
-    let max_batch: usize = parse_flag(&mut args, "--max-batch", 32)?;
-    let queue_bound: usize = parse_flag(&mut args, "--queue-bound", 256)?;
+    let d = ServeConfig::default();
+    let window_us: u64 = parse_flag(&mut args, "--window-us", d.batch_window.as_micros() as u64)?;
+    let max_batch: usize = parse_flag(&mut args, "--max-batch", d.max_batch)?;
+    let queue_bound: usize = parse_flag(&mut args, "--queue-bound", d.queue_bound)?;
     let threads = match flag_value(&mut args, "--threads") {
         Some(v) => echoimage_core::par::parse_threads(&v).map_err(|e| e.to_string())?,
         None => echoimage_core::par::threads_from_env().map_err(|e| e.to_string())?,

@@ -78,9 +78,12 @@ impl From<ThreadsParseError> for ServeConfigError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// How long the batcher holds the oldest queued request hoping for
-    /// company before flushing anyway. Zero removes the wait, not the
-    /// coalescing: each flush still takes every job queued by the time
-    /// the batcher looks, up to `max_batch`.
+    /// company before flushing anyway. The default is zero: the batcher
+    /// is work-conserving and flushes as soon as it is free. Zero
+    /// removes the wait, not the coalescing: each flush still takes
+    /// every job queued by the time the batcher looks, up to
+    /// `max_batch`, so requests that arrive during a flush share the
+    /// next one.
     pub batch_window: Duration,
     /// Flush immediately once this many requests are queued.
     pub max_batch: usize,
@@ -103,7 +106,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            batch_window: Duration::from_millis(3),
+            batch_window: Duration::ZERO,
             max_batch: 32,
             queue_bound: 256,
             threads: 0,
@@ -156,6 +159,11 @@ mod tests {
     #[test]
     fn defaults_validate() {
         let d = ServeConfig::default();
+        assert_eq!(
+            d.batch_window,
+            Duration::ZERO,
+            "the default batcher never waits"
+        );
         assert_eq!(
             ServeConfig::validated(d.batch_window, d.max_batch, d.queue_bound, d.threads),
             Ok(d)

@@ -66,10 +66,21 @@ pub struct LoadTallies {
 }
 
 impl LoadTallies {
-    /// Sessions per second actually completed.
+    /// Sessions per second over the run, every answer counted: shed
+    /// and errored sessions included, so it rises with the shed count.
     pub fn achieved_qps(&self) -> f64 {
+        self.per_second(self.sessions as u64)
+    }
+
+    /// Requests decided (accepted or rejected) per second: the
+    /// throughput the daemon delivered.
+    pub fn decided_qps(&self) -> f64 {
+        self.per_second(self.accepted + self.rejected)
+    }
+
+    fn per_second(&self, n: u64) -> f64 {
         if self.wall_s > 0.0 {
-            self.sessions as f64 / self.wall_s
+            n as f64 / self.wall_s
         } else {
             0.0
         }
@@ -101,8 +112,9 @@ impl LoadReport {
         format!(
             "{{\n  \"sessions\": {},\n  \"accepted\": {},\n  \"rejected\": {},\n  \
              \"overloaded\": {},\n  \"errors\": {},\n  \"wall_s\": {:.3},\n  \
-             \"achieved_qps\": {:.1},\n  \"p50_ns\": {},\n  \"p99_ns\": {},\n  \
-             \"p999_ns\": {},\n  \"mean_batch\": {},\n  \"max_batch\": {}\n}}\n",
+             \"achieved_qps\": {:.1},\n  \"decided_qps\": {:.1},\n  \"p50_ns\": {},\n  \
+             \"p99_ns\": {},\n  \"p999_ns\": {},\n  \"mean_batch\": {},\n  \
+             \"max_batch\": {}\n}}\n",
             t.sessions,
             t.accepted,
             t.rejected,
@@ -110,6 +122,7 @@ impl LoadReport {
             t.errors,
             t.wall_s,
             t.achieved_qps(),
+            t.decided_qps(),
             opt_u(self.p50_ns),
             opt_u(self.p99_ns),
             opt_u(self.p999_ns),
@@ -419,10 +432,10 @@ mod tests {
         let r = report(
             LoadTallies {
                 sessions: 10,
-                accepted: 9,
+                accepted: 7,
                 rejected: 1,
-                overloaded: 0,
-                errors: 0,
+                overloaded: 1,
+                errors: 1,
                 wall_s: 0.5,
             },
             &MetricsSnapshot {
@@ -435,5 +448,8 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"p99_ns\": null"), "{json}");
         assert!(json.contains("\"achieved_qps\": 20.0"), "{json}");
+        // 7 accepted + 1 rejected in 0.5 s: the shed and the errored
+        // session count towards `achieved_qps` only.
+        assert!(json.contains("\"decided_qps\": 16.0"), "{json}");
     }
 }

@@ -872,6 +872,58 @@ mod tests {
         }
     }
 
+    /// Decodes `payload` cut at every length, then with each byte
+    /// flipped under the masks 0x01, 0x80 and 0xFF. Each variant must
+    /// decode to a value or a typed error; a panic fails the test with
+    /// the variant that caused it. Returns `(values, errors)`.
+    fn sweep<T>(payload: &[u8], decode: fn(&[u8]) -> Result<T, ProtocolError>) -> (usize, usize) {
+        let decodes = |bytes: &[u8], what: &str| {
+            std::panic::catch_unwind(|| decode(bytes).is_ok())
+                .unwrap_or_else(|_| panic!("{what} panicked the decoder"))
+        };
+        let mut outcomes = Vec::new();
+        for cut in 0..payload.len() {
+            outcomes.push(decodes(&payload[..cut], &format!("cut at {cut}")));
+        }
+        let mut bytes = payload.to_vec();
+        for at in 0..bytes.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                bytes[at] ^= mask;
+                outcomes.push(decodes(&bytes, &format!("byte {at} ^ {mask:#04x}")));
+                bytes[at] ^= mask;
+            }
+        }
+        let values = outcomes.iter().filter(|&&ok| ok).count();
+        (values, outcomes.len() - values)
+    }
+
+    #[test]
+    fn every_cut_and_byte_flip_of_a_request_or_stats_frame_is_typed() {
+        let request = encode_request(&Request {
+            images: (0..3)
+                .map(|b| GrayImage::from_fn(8, 8, |x, y| (x * 8 + y + b) as f64 / 64.0))
+                .collect(),
+            ..sample_request()
+        });
+        let payload = &request[4..];
+        let (values, errors) = sweep(payload, decode_request);
+        // A request has no optional tail: every cut is an error.
+        assert!(errors >= payload.len(), "{values} values, {errors} errors");
+        assert!(values > 0, "no flip decoded to a value");
+
+        let stats = encode_response(&Response {
+            op: Opcode::Stats,
+            request_id: 5,
+            status: Status::Ok,
+            user_id: 0,
+            trace_id: 0,
+            reason: String::new(),
+            stats: Some(sample_stats()),
+        });
+        let (values, errors) = sweep(&stats[4..], decode_response);
+        assert!(values > 0 && errors > 0, "{values} values, {errors} errors");
+    }
+
     #[test]
     fn corrupt_stats_flags_and_counts_are_rejected() {
         let frame = encode_response(&Response {

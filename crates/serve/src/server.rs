@@ -163,13 +163,21 @@ enum Listener {
 }
 
 impl Listener {
-    /// `Ok(None)` is a connection that died between `accept()` and
-    /// `set_nonblocking()`: drop it and keep serving.
+    /// Accepts one connection and makes it non-blocking. A TCP
+    /// connection also sets `TCP_NODELAY`: the batcher answers
+    /// overlapping requests in separate flushes, and Nagle's algorithm
+    /// would hold each response after the first until the client's
+    /// delayed ACK (tens of milliseconds). `Ok(None)` is a connection
+    /// that refused either setting, such as one that died since
+    /// `accept()`: drop it and keep serving.
     fn accept(&self) -> io::Result<Option<Stream>> {
         Ok(match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                s.set_nonblocking(true).ok().map(|()| Stream::Tcp(s))
+                s.set_nonblocking(true)
+                    .and_then(|()| s.set_nodelay(true))
+                    .ok()
+                    .map(|()| Stream::Tcp(s))
             }
             Listener::Unix(l, _) => {
                 let (s, _) = l.accept()?;
@@ -732,5 +740,22 @@ fn protocol_error_response(e: &crate::protocol::ProtocolError) -> Response {
         trace_id: 0,
         reason: format!("protocol error: {e}"),
         stats: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_tcp_connections_set_nodelay() {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = l.local_addr().unwrap();
+        let listener = Listener::Tcp(l);
+        let _client = TcpStream::connect(addr).unwrap();
+        match listener.accept().unwrap() {
+            Some(Stream::Tcp(s)) => assert_eq!(s.nodelay().ok(), Some(true)),
+            _ => panic!("the loopback connection was not accepted"),
+        }
     }
 }

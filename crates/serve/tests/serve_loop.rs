@@ -6,12 +6,15 @@
 //! These tests share the process-global observability state with each
 //! other (integration tests in one binary run on parallel threads), so
 //! any test that inspects the audit log filters by its own distinctive
-//! tenant id instead of assuming it owns the ring. Cross-run audit
-//! equality lives in `serve_determinism.rs`, a separate binary and
-//! therefore a separate process.
+//! tenant id instead of assuming it owns the ring. The one test that
+//! counts flushes through the process-wide batch histogram runs alone:
+//! it holds [`DAEMONS`] for writing, and every other test holds it for
+//! reading while its daemon runs. Cross-run audit equality lives in
+//! `serve_determinism.rs`, a separate binary and therefore a separate
+//! process.
 
 use echo_serve::config::ServeConfig;
-use echo_serve::loadgen::synth_image;
+use echo_serve::loadgen::{fetch_stats, synth_image};
 use echo_serve::protocol::{
     decode_response, encode_request, split_frame, Opcode, Request, Response, Status,
 };
@@ -21,8 +24,16 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
+
+/// Held for reading by every test that runs a daemon, and for writing
+/// by the one that must see no other daemon's flushes.
+static DAEMONS: RwLock<()> = RwLock::new(());
+
+fn alongside_others() -> RwLockReadGuard<'static, ()> {
+    DAEMONS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn enroll(client: &mut Client, tenant: u64, user: u64, images: usize) {
     let images: Vec<_> = (0..images as u64)
@@ -66,6 +77,7 @@ fn socket_dir() -> std::path::PathBuf {
 
 #[test]
 fn unix_socket_roundtrip_enrol_then_authenticate() {
+    let _daemons = alongside_others();
     let dir = socket_dir();
     let path = dir.join("serve.sock");
     let server = ServerHandle::start(ServeConfig::default(), BindAddr::Unix(path.clone()))
@@ -104,6 +116,7 @@ fn unix_socket_roundtrip_enrol_then_authenticate() {
 
 #[test]
 fn overload_sheds_with_typed_rejects_and_audits() {
+    let _daemons = alongside_others();
     // One admission slot and a batch window long enough that the burst
     // below lands entirely inside it: everything past the first queued
     // job must shed.
@@ -175,6 +188,7 @@ fn identify_request(tenant: u64, user: u64, rid: u64, first_variant: u64) -> Req
 
 #[test]
 fn identify_names_the_user_and_follows_enrolment() {
+    let _daemons = alongside_others();
     let tenant = 555u64;
     let server = ServerHandle::start(ServeConfig::default(), BindAddr::Tcp("127.0.0.1:0".into()))
         .expect("bind tcp socket");
@@ -248,6 +262,7 @@ fn identify_names_the_user_and_follows_enrolment() {
 
 #[test]
 fn enrol_while_authenticating_never_errors() {
+    let _daemons = alongside_others();
     let tenant = 33u64;
     let server = ServerHandle::start(ServeConfig::default(), BindAddr::Tcp("127.0.0.1:0".into()))
         .expect("bind tcp socket");
@@ -316,6 +331,7 @@ fn responses_until_close(stream: &mut TcpStream) -> Vec<Response> {
 
 #[test]
 fn half_closed_client_gets_every_decision_before_the_close() {
+    let _daemons = alongside_others();
     // The client writes three requests and half-closes at once, so the
     // server reads EOF while the decisions are still queued or in a
     // batch: the connection must stay open until they are written.
@@ -336,7 +352,58 @@ fn half_closed_client_gets_every_decision_before_the_close() {
 }
 
 #[test]
+fn pipelined_requests_share_flushes_under_the_default_config() {
+    // The default batcher never waits for company, yet requests that
+    // arrive while it flushes still share the next flush: 16 auths
+    // written back to back take fewer than 16 flushes. The flush count
+    // is process-wide, so no other daemon in this binary runs meanwhile.
+    let _alone = DAEMONS.write().unwrap_or_else(PoisonError::into_inner);
+    let tenant = 1_616u64;
+    let n = 16u64;
+    let server = ServerHandle::start(ServeConfig::default(), BindAddr::Tcp("127.0.0.1:0".into()))
+        .expect("bind tcp socket");
+    let addr = server.local_addr().expect("tcp addr");
+    enroll(
+        &mut Client::connect_tcp(addr).expect("connect"),
+        tenant,
+        1,
+        20,
+    );
+
+    let before = fetch_stats(addr).expect("stats before");
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    let burst: Vec<u8> = (0..n)
+        .flat_map(|rid| encode_request(&auth_request(tenant, 1, rid, 3_000 + rid * 8)))
+        .collect();
+    raw.write_all(&burst).expect("send");
+    raw.shutdown(Shutdown::Write).expect("half-close");
+    let resps = responses_until_close(&mut raw);
+    let after = fetch_stats(addr).expect("stats after");
+
+    let ids: Vec<u64> = resps.iter().map(|r| r.request_id).collect();
+    assert_eq!(ids, (0..n).collect::<Vec<_>>(), "answered in request order");
+    for r in &resps {
+        assert!(
+            matches!(r.status, Status::Accepted | Status::Rejected),
+            "request {}: {:?}: {}",
+            r.request_id,
+            r.status,
+            r.reason
+        );
+    }
+    let flushes = after.batch_count - before.batch_count;
+    let decided = after.batch_sum - before.batch_sum;
+    assert_eq!(
+        decided, n,
+        "the flushes between the stats polls hold the burst"
+    );
+    assert!(flushes < n, "{n} pipelined requests took {flushes} flushes");
+    server.shutdown();
+}
+
+#[test]
 fn protocol_error_gets_one_error_frame_then_the_close() {
+    let _daemons = alongside_others();
     let server = ServerHandle::start(ServeConfig::default(), BindAddr::Tcp("127.0.0.1:0".into()))
         .expect("bind tcp socket");
     let mut raw = TcpStream::connect(server.local_addr().expect("tcp addr")).expect("connect");
@@ -356,6 +423,7 @@ fn protocol_error_gets_one_error_frame_then_the_close() {
 
 #[test]
 fn shutdown_under_steady_traffic_drains_only_work_admitted_before_it() {
+    let _daemons = alongside_others();
     // One client sends an auth every 300 µs and shutdown comes 100 ms
     // in. Requests admitted before the flag get their decisions; every
     // later one is shed with a typed "shutting down" response, so the
